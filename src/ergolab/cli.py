@@ -276,14 +276,45 @@ def _validate(config: dict) -> None:
     if "limit" in config and config["limit"] < 1:
         raise UsageError("--limit must be at least 1")
     if sub == "expsum":
-        if config["mode"] not in ("scan", "profile", "short"):
+        mode = config["mode"]
+        if mode not in ("scan", "profile", "short"):
             raise UsageError("expsum mode must be scan, profile, or short")
-        if config["mode"] == "short" and "/" not in config["theta"]:
-            raise UsageError("--theta must be a fraction a/q")
-    if sub == "maximal" and config["bands"] < 1:
-        raise UsageError("--bands must be at least 1")
+        if mode == "scan":
+            _at_least(config, "n_max", 1)
+        if mode in ("scan", "profile"):
+            _at_least(config, "grid_den", 1)
+        if mode == "profile":
+            _lengths(config["n_list"])
+        if mode == "short":
+            if "/" not in config["theta"]:
+                raise UsageError("--theta must be a fraction a/q")
+            _at_least(config, "start", 1)
+            _at_least(config, "span", 1)
+    if sub == "spectral-check":
+        for key in ("j", "n", "trials"):
+            _at_least(config, key, 1)
+    if sub == "maximal":
+        _at_least(config, "j", 1)
+        _at_least(config, "bands", 1)
+        _at_least(config, "n_max", 0)
     if sub == "report" and not config["inputs"]:
         raise UsageError("--inputs requires at least one file")
+
+
+def _at_least(config: dict, key: str, low: int) -> None:
+    if config[key] < low:
+        raise UsageError(f"--{key.replace('_', '-')} must be at least {low}")
+
+
+def _lengths(text) -> list[int]:
+    """The --n-list lengths; each must be at least 1."""
+    try:
+        lengths = [int(part) for part in str(text).split(",")]
+    except ValueError:
+        raise UsageError(f"--n-list: cannot read {text!r}") from None
+    if min(lengths) < 1:
+        raise UsageError("--n-list lengths must be at least 1")
+    return lengths
 
 
 def _poly(config: dict, key: str) -> IntPolynomial:
@@ -342,9 +373,16 @@ def _cmd_sieve(config: dict) -> int:
 
 
 def _cmd_expsum(config: dict) -> int:
-    table = run_sieve(_WEIGHTS[config["weight"]], max(config["n_max"], config["start"] + config["span"]))
     poly = _poly(config, "poly")
     mode = config["mode"]
+    if mode == "profile":
+        lengths = _lengths(config["n_list"])
+        limit = max(lengths)
+    elif mode == "scan":
+        limit = config["n_max"]
+    else:
+        limit = config["start"] + config["span"]
+    table = run_sieve(_WEIGHTS[config["weight"]], limit)
     if mode == "scan":
         grid = RationalGrid(config["grid_den"])
         values = grid_scan(table, poly, grid, config["n_max"])
@@ -356,12 +394,6 @@ def _cmd_expsum(config: dict) -> int:
         _write_text(config["out"], _csv(rows, "theta,re,im,abs"))
         return 0
     if mode == "profile":
-        try:
-            lengths = [int(part) for part in str(config["n_list"]).split(",")]
-        except ValueError:
-            raise UsageError(f"--n-list: cannot read {config['n_list']!r}") from None
-        if max(lengths) > table.limit:
-            table = run_sieve(_WEIGHTS[config["weight"]], max(lengths))
         grid = RationalGrid(config["grid_den"])
         rows = []
         for n_max in lengths:
@@ -522,7 +554,10 @@ def _cmd_maximal(config: dict) -> int:
     psi = PeriodicSignal.seeded_pm1(period, rng.derive_seed(config["seed"], 1))
     p_poly = _poly(config, "poly_p")
     q_poly = _poly(config, "poly_q")
-    ladder = maximal.LacunaryLadder.build(config["rho"], 1 << 24, band_count=config["bands"])
+    try:
+        ladder = maximal.LacunaryLadder.build(config["rho"], 1 << 24, band_count=config["bands"])
+    except ValueError as exc:
+        raise UsageError(f"--rho/--bands: {exc}") from None
     n_top = config["n_max"] or ladder.bands[-1]
     table = run_sieve(_WEIGHTS[config["weight"]], max(n_top, ladder.bands[-1]))
     mode = config["mode"]

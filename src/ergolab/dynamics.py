@@ -23,6 +23,7 @@ from math import gcd
 
 import numpy as np
 
+from . import folding
 from .maximal import LacunaryLadder
 from .polynomials import IntPolynomial, eval_mod_range
 from .spectral import PeriodicSignal
@@ -143,7 +144,9 @@ def windowed_orbit_signal(
         raise ValueError("period must exceed 4 * n_bar to hold the window")
     x = system.check_state(x)
     window = np.arange(-2 * n_bar, 2 * n_bar + 1, dtype=np.int64)
-    samples = _orbit_values(system, observable, poly, window, x)
+    samples = _orbit_values(
+        system, observable, eval_mod_range(poly, window, _state_count(system)), x
+    )
     values = np.zeros(period, dtype=np.complex128)
     values[window % period] = samples
     return PeriodicSignal(period, values)
@@ -169,32 +172,48 @@ def visits_every_state(system: RationalRotation, x: int = 0) -> bool:
     return bool(np.unique(orbit).size == q)
 
 
-def _orbit_values(system, observable, poly: IntPolynomial, n_values: np.ndarray, x: int, power: int = 1):
-    """observable(T^{power * P(n)} x) for each n, exact index arithmetic."""
+def _state_count(system) -> int:
+    """Number of states; orbit positions depend on n only modulo it."""
     if isinstance(system, CyclicShift):
-        if not isinstance(observable, PeriodicSignal) or observable.period != system.period:
-            raise ValueError("cyclic shift observables must be signals of matching period")
-        j = system.period
-        idx = eval_mod_range(poly, n_values, j)
-        if power != 1:
-            idx = (power % j) * idx % j
-        return observable.values[(x + idx) % j]
+        return system.period
     if isinstance(system, RationalRotation):
-        if not isinstance(observable, TrigPolynomial):
-            raise ValueError("rotation observables must be trigonometric polynomials")
-        q = system.denominator
-        idx = eval_mod_range(poly, n_values, q)
-        if power != 1:
-            idx = (power % q) * idx % q
-        positions = (x + idx * (system.numerator % q)) % q
-        return observable.at_points(positions, q)
+        return system.denominator
     raise TypeError(f"unsupported system {type(system).__name__}")
 
 
-def _weights(table: WeightTable, n_max: int) -> np.ndarray:
-    if not 1 <= n_max <= table.limit:
-        raise ValueError(f"N={n_max} outside table range [1, {table.limit}]")
-    return table.values[1 : n_max + 1].astype(np.float64)
+def _orbit_values(system, observable, residues: np.ndarray, x: int, power: int = 1):
+    """observable(T^{power * P} x) for each residue P mod _state_count(system).
+
+    A rotation by p/q has q states, so its orbits fold with period q.
+    """
+    count = _state_count(system)
+    if power != 1:
+        residues = (power % count) * residues % count
+    if isinstance(system, CyclicShift):
+        if not isinstance(observable, PeriodicSignal) or observable.period != count:
+            raise ValueError("cyclic shift observables must be signals of matching period")
+        return observable.values[(x + residues) % count]
+    if not isinstance(observable, TrigPolynomial):
+        raise ValueError("rotation observables must be trigonometric polynomials")
+    positions = (x + residues * (system.numerator % count)) % count
+    return observable.at_points(positions, count)
+
+
+def _folded_terms(system, observables, polys, powers, x: int, n_end: int) -> np.ndarray:
+    """prod_i f_i(T^{power_i * P_i(r)} x) for every class r of n <= n_end."""
+    count = _state_count(system)
+    prod = None
+    for obs, poly, power in zip(observables, polys, powers):
+        values = _orbit_values(system, obs, folding.residues(poly, count, n_end), x, power)
+        prod = values if prod is None else prod * values
+    return prod
+
+
+def _folded_average(system, observables, polys, powers, table, n_max: int, x: int) -> complex:
+    """(1/N) sum_{n<=N} nu(n) prod_i f_i(T^{power_i P_i(n)} x), one term per class."""
+    _, classes, masses = folding.class_masses(table, _state_count(system), [n_max])
+    terms = _folded_terms(system, observables, polys, powers, x, n_max)
+    return complex(np.dot(masses, terms[classes]) / n_max)
 
 
 def bilinear_average(
@@ -209,12 +228,7 @@ def bilinear_average(
 ) -> complex:
     """(1/N) sum_{n<=N} nu(n) f(T^{P(n)} x) g(T^{Q(n)} x)."""
     x = system.check_state(x)
-    w = _weights(table, n_max)
-    n_values = np.arange(1, n_max + 1, dtype=np.int64)
-    fa = _orbit_values(system, f, p_poly, n_values, x)
-    gb = _orbit_values(system, g, q_poly, n_values, x)
-    prod = fa * gb
-    return complex((w * prod).sum() / n_max)
+    return _folded_average(system, [f, g], [p_poly, q_poly], [1, 1], table, n_max, x)
 
 
 def multilinear_average(
@@ -234,12 +248,7 @@ def multilinear_average(
     if len(powers) != len(observables):
         raise ValueError("powers must match the observables")
     x = system.check_state(x)
-    w = _weights(table, n_max)
-    n_values = np.arange(1, n_max + 1, dtype=np.int64)
-    prod = _orbit_values(system, observables[0], polys[0], n_values, x, powers[0])
-    for obs, poly, power in zip(observables[1:], polys[1:], powers[1:]):
-        prod = prod * _orbit_values(system, obs, poly, n_values, x, power)
-    return complex((w * prod).sum() / n_max)
+    return _folded_average(system, observables, polys, powers, table, n_max, x)
 
 
 @dataclass(frozen=True)
@@ -277,22 +286,18 @@ def convergence_trace(
 ) -> AverageTrace:
     """A_N(x) for every ladder member N = floor(rho^m) up to the limit.
 
-    One pass with running sums: the full term sequence is accumulated
-    blockwise between consecutive members, never recomputed from scratch.
+    One pass with running sums: the class masses of each stretch between
+    consecutive members weight the per-class terms, and are accumulated,
+    never recomputed from scratch.
     """
     x = system.check_state(x)
     limit = min(table.limit, n_limit) if n_limit else table.limit
     ladder = LacunaryLadder.build(rho, limit)
     members = np.array(ladder.members, dtype=np.int64)
-    n_end = int(members[-1])
-    w = _weights(table, n_end)
-    n_values = np.arange(1, n_end + 1, dtype=np.int64)
-    fa = _orbit_values(system, f, p_poly, n_values, x)
-    gb = _orbit_values(system, g, q_poly, n_values, x)
-    terms = w * (fa * gb)
-    starts = np.concatenate([[0], members[:-1]])
-    prefix = np.cumsum(np.add.reduceat(terms, starts))
-    values = prefix / members
+    offsets, classes, masses = folding.class_masses(table, _state_count(system), members)
+    terms = _folded_terms(system, [f, g], [p_poly, q_poly], [1, 1], x, ladder.members[-1])
+    prefix = np.concatenate([[0], np.cumsum(masses * terms[classes])])
+    values = prefix[offsets[1:]] / members
     return AverageTrace(
         start=x,
         weight_kind=table.kind,
@@ -327,7 +332,8 @@ def cauchy_schwarz_split(
     dg = PeriodicSignal(g.period, g.values - g_approx.values)
     lhs = abs(bilinear_average(system, df, dg, p_poly, q_poly, table, n_max, x))
     n_values = np.arange(1, n_max + 1, dtype=np.int64)
-    df_orbit = np.abs(_orbit_values(system, df, p_poly, n_values, x)) ** 2
-    dg_orbit = np.abs(_orbit_values(system, dg, q_poly, n_values, x)) ** 2
+    count = _state_count(system)
+    df_orbit = np.abs(_orbit_values(system, df, eval_mod_range(p_poly, n_values, count), x)) ** 2
+    dg_orbit = np.abs(_orbit_values(system, dg, eval_mod_range(q_poly, n_values, count), x)) ** 2
     rhs = float(np.sqrt(df_orbit.mean()) * np.sqrt(dg_orbit.mean()))
     return lhs, rhs

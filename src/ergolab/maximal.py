@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import folding
 from .polynomials import IntPolynomial, eval_mod_range
 from .spectral import PeriodicSignal
 from .weights import WeightTable
@@ -35,8 +36,9 @@ from .weights import WeightTable
 CLASSICAL_P = IntPolynomial((0, 1))
 CLASSICAL_Q = IntPolynomial((0, -1))
 
-# Elements per gather block in the running-sum kernels (bounds peak memory).
-_BLOCK_ELEMENTS = 1 << 21
+#: Most distinct members one ladder may hold.  A rho this close to 1 over
+#: this long a range is rejected instead of built.
+MAX_LADDER_MEMBERS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -55,21 +57,44 @@ class LacunaryLadder:
         """Default bands are the first band_count+1 ladder members.
 
         Small rho produces repeated floor values; only distinct members
-        are kept, so bands are strictly increasing.
+        are kept, so bands are strictly increasing.  Instead of evaluating
+        every power, each step finds the smallest exponent whose floor
+        exceeds the last member: the next exponent if it does, else a log
+        estimate corrected one exponent at a time until exact, so members
+        match the power-by-power definition.
+        More than MAX_LADDER_MEMBERS distinct members raise ValueError.
         """
         if rho <= 1.0:
             raise ValueError("rho must exceed 1")
         if limit < 1:
             raise ValueError("limit must be at least 1")
-        members: list[int] = []
+        log_rho = math.log1p(rho - 1.0)
+        members = [1]
         n = 0
         while True:
-            value = math.floor(rho**n)
+            target = members[-1] + 1
+            m = n + 1
+            value = math.floor(rho**m)
+            if value < target:
+                m = max(m + 1, math.ceil(math.log(target) / log_rho))
+                value = math.floor(rho**m)
+                while value < target:
+                    m += 1
+                    value = math.floor(rho**m)
+                while m - 1 > n + 1:
+                    below = math.floor(rho ** (m - 1))
+                    if below < target:
+                        break
+                    m, value = m - 1, below
             if value > limit:
                 break
-            if not members or value > members[-1]:
-                members.append(value)
-            n += 1
+            if len(members) == MAX_LADDER_MEMBERS:
+                raise ValueError(
+                    f"ladder rho={rho} up to {limit} has more than "
+                    f"{MAX_LADDER_MEMBERS} distinct members"
+                )
+            members.append(value)
+            n = m
         if band_count is None:
             bands = tuple(members)
         else:
@@ -111,36 +136,14 @@ def _sums_at_checkpoints(
 ) -> np.ndarray:
     """Unnormalized running sums S_N(j) for every j at each checkpoint N.
 
-    One pass over n in gather blocks; row n of the gather is the cyclic
-    shift phi(j + P(n)) as a window into the doubled signal.
+    Folded onto the classes n mod J: the class masses of each stretch
+    between checkpoints weight the cyclic shifts phi(. + P(r)) psi(. + Q(r)).
     """
     period = _check_pair(phi, psi)
-    n_end = checkpoints[-1]
-    if not 1 <= n_end <= table.limit:
-        raise ValueError(f"N={n_end} outside table range [1, {table.limit}]")
-    w = table.values[1 : n_end + 1].astype(np.float64)
-    n_values = np.arange(1, n_end + 1, dtype=np.int64)
-    a = eval_mod_range(p_poly, n_values, period)
-    b = eval_mod_range(q_poly, n_values, period)
-    f_windows = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([phi.values, phi.values]), period
-    )
-    g_windows = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([psi.values, psi.values]), period
-    )
-    block = max(1, _BLOCK_ELEMENTS // period)
-
-    sums = np.empty((len(checkpoints), period), dtype=np.complex128)
-    running = np.zeros(period, dtype=np.complex128)
-    previous = 0
-    for row, checkpoint in enumerate(checkpoints):
-        for start in range(previous, checkpoint, block):
-            seg = slice(start, min(start + block, checkpoint))
-            prod = f_windows[a[seg]] * g_windows[b[seg]]
-            running += np.einsum("n,nj->j", w[seg], prod)
-        previous = checkpoint
-        sums[row] = running
-    return sums
+    masses = folding.class_masses(table, period, checkpoints)
+    a = folding.residues(p_poly, period, checkpoints[-1])
+    b = folding.residues(q_poly, period, checkpoints[-1])
+    return folding.orbit_sums(phi.values, psi.values, a, b, masses)
 
 
 def band_maximal(
@@ -240,11 +243,13 @@ def global_maximal(
     """j -> sup over every N <= n_max of |A_N(j)| (not just ladder members).
 
     Between consecutive nonzero weights |S| is constant while N grows, so
-    the sup cannot move there and those N are skipped.
+    the sup cannot move there and those N are skipped.  The sup needs A_N
+    at every N with a nonzero weight, so the sum cannot be folded onto
+    residue classes the way the ladder statistics are: this stays one
+    J-long update per term, O(N J).
     """
     period = _check_pair(phi, psi)
-    if not 1 <= n_max <= table.limit:
-        raise ValueError(f"N={n_max} outside table range [1, {table.limit}]")
+    folding.check_length(table, n_max)
     w = table.values[1 : n_max + 1].astype(np.float64)
     n_values = np.arange(1, n_max + 1, dtype=np.int64)
     a = eval_mod_range(p_poly, n_values, period)

@@ -21,8 +21,10 @@ route through the coefficients
     D[N][k][l] = (1/N) sum_{n<=N} nu(n) e^{2 pi i (k P(n) + l Q(n)) / J},
 
 via A_N(j) = sum_{k,l} F(f)(k) F(g)(l) D[N][k][l] e^{2 pi i (k+l) j / J}.
-The two routes are independent code paths and the test suite holds them
-together at tight tolerances; any disagreement is a bug, not a feature.
+Both routes start from the class masses and residues of ergolab.folding,
+which the test suite checks against plain per-n loops; past that they
+are independent code paths and the test suite holds them together at
+tight tolerances; any disagreement is a bug, not a feature.
 
 lp norms on Z/JZ use the normalized counting measure:
 ||f||_p = ((1/J) sum |f(j)|^p)^(1/p).
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import folding, rng
 from .polynomials import IntPolynomial, eval_mod_range
 from .weights import WeightTable
 
@@ -120,22 +122,6 @@ def idft(spectrum: Spectrum) -> PeriodicSignal:
     return PeriodicSignal(spectrum.period, np.fft.ifft(spectrum.coeffs) * spectrum.period)
 
 
-def _weight_slice(table: WeightTable, n_max: int) -> np.ndarray:
-    if not 1 <= n_max <= table.limit:
-        raise ValueError(f"N={n_max} outside table range [1, {table.limit}]")
-    return table.values[1 : n_max + 1].astype(np.float64)
-
-
-def _orbit_residues(
-    p_poly: IntPolynomial, q_poly: IntPolynomial, n_max: int, period: int
-) -> tuple[np.ndarray, np.ndarray]:
-    n_values = np.arange(1, n_max + 1, dtype=np.int64)
-    return (
-        eval_mod_range(p_poly, n_values, period),
-        eval_mod_range(q_poly, n_values, period),
-    )
-
-
 @dataclass
 class DCoefficients:
     """Matrix D[k][l] of weighted character sums; |D[k][l]| <= 1."""
@@ -160,16 +146,15 @@ def d_coefficients(
 ) -> DCoefficients:
     """All J^2 coefficients in O(N + J^2 log J).
 
-    The weight mass is scattered onto (P(n) mod J, Q(n) mod J) and the
-    matrix is one 2-d transform of that mass table; phases are exact
-    because the residues are computed with modular Horner evaluation.
+    The class masses of n mod J are scattered onto (P(r) mod J, Q(r) mod J)
+    and the matrix is one 2-d transform of that mass table; phases are
+    exact because the residues are computed with modular Horner evaluation.
     """
-    if period < 1:
-        raise ValueError("period must be at least 1")
-    w = _weight_slice(table, n_max) / n_max
-    a, b = _orbit_residues(p_poly, q_poly, n_max, period)
-    mass = np.bincount(a * period + b, weights=w, minlength=period * period)
-    mass = mass.reshape(period, period)
+    _, classes, masses = folding.class_masses(table, period, [n_max])
+    a = folding.residues(p_poly, period, n_max)[classes]
+    b = folding.residues(q_poly, period, n_max)[classes]
+    mass = np.bincount(a * period + b, weights=masses, minlength=period * period)
+    mass = mass.reshape(period, period) / n_max
     matrix = np.fft.ifft2(mass)
     matrix *= period * period
     return DCoefficients(period=period, length=n_max, matrix=matrix)
@@ -261,8 +246,11 @@ def build_kernels(
     """
     if period < 1:
         raise ValueError("period must be at least 1")
-    w = _weight_slice(table, n_max) / n_max
-    a, b = _orbit_residues(p_poly, q_poly, n_max, period)
+    folding.check_length(table, n_max)
+    w = table.values[1 : n_max + 1] / n_max
+    n_values = np.arange(1, n_max + 1, dtype=np.int64)
+    a = eval_mod_range(p_poly, n_values, period)
+    b = eval_mod_range(q_poly, n_values, period)
     k_p = DiagonalKernel(period, a, w)
     k_q = DiagonalKernel(period, b, w.copy())
     l_kernel = OffDiagonalKernel(period, (a - b) % period, b, w.copy())
@@ -310,16 +298,18 @@ def direct_average(
     n_max: int,
     j: int,
 ) -> complex:
-    """Literal (1/N) sum nu(n) f(j + P(n)) g(j + Q(n)) at one base point."""
+    """(1/N) sum nu(n) f(j + P(n)) g(j + Q(n)) at one base point.
+
+    Folded onto the classes n mod J: one term per class, O(N + J).
+    """
     if f.period != g.period:
         raise ValueError("signal periods differ")
     period = f.period
-    w = _weight_slice(table, n_max)
-    a, b = _orbit_residues(p_poly, q_poly, n_max, period)
-    fa = f.values[(a + j) % period]
-    gb = g.values[(b + j) % period]
-    prod = fa * gb
-    return complex((w * prod).sum() / n_max)
+    _, classes, masses = folding.class_masses(table, period, [n_max])
+    a = folding.residues(p_poly, period, n_max)[classes]
+    b = folding.residues(q_poly, period, n_max)[classes]
+    prod = f.values[(a + j) % period] * g.values[(b + j) % period]
+    return complex(np.dot(masses, prod) / n_max)
 
 
 def direct_average_all(
@@ -330,18 +320,19 @@ def direct_average_all(
     g: PeriodicSignal,
     n_max: int,
 ) -> PeriodicSignal:
-    """Direct route evaluated at every j; O(N) per j, vectorized over n."""
+    """Direct route evaluated at every j.
+
+    The sum is folded onto the classes n mod J, so it costs O(N + J^2)
+    rather than O(N J).
+    """
     if f.period != g.period:
         raise ValueError("signal periods differ")
     period = f.period
-    w = _weight_slice(table, n_max) / n_max
-    a, b = _orbit_residues(p_poly, q_poly, n_max, period)
-    f2 = np.concatenate([f.values, f.values])
-    g2 = np.concatenate([g.values, g.values])
-    out = np.empty(period, dtype=np.complex128)
-    for j in range(period):
-        out[j] = np.dot(f2[a + j] * g2[b + j], w)
-    return PeriodicSignal(period, out)
+    masses = folding.class_masses(table, period, [n_max])
+    a = folding.residues(p_poly, period, n_max)
+    b = folding.residues(q_poly, period, n_max)
+    sums = folding.orbit_sums(f.values, g.values, a, b, masses)
+    return PeriodicSignal(period, sums[0] / n_max)
 
 
 def l2_norm_of_average(
@@ -376,30 +367,27 @@ def l4_bound_report(
 
     Emits the measured ratio per N so its decay can be inspected; no hard
     bound is asserted because the comparison constant is not effective.
-    The weight mass tables are accumulated incrementally across the N
+    The class mass tables are accumulated incrementally across the N
     list, one 2-d transform per N.
     """
     if f.period != g.period:
         raise ValueError("signal periods differ")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly increasing")
     period = f.period
+    offsets, classes, masses = folding.class_masses(table, period, n_list)
     f_spec, g_spec = dft(f), dft(g)
     norm4 = f.norm(4) * g.norm(4)
 
     raw_mass = np.zeros(period * period, dtype=np.float64)
     rows = []
-    previous = 0
-    w_full = _weight_slice(table, n_list[-1])
-    a_full, b_full = _orbit_residues(p_poly, q_poly, n_list[-1], period)
-    for n_max in n_list:
-        seg = slice(previous, n_max)
+    a = folding.residues(p_poly, period, n_list[-1])
+    b = folding.residues(q_poly, period, n_list[-1])
+    for k, n_max in enumerate(n_list):
+        seg = slice(offsets[k], offsets[k + 1])
         raw_mass += np.bincount(
-            a_full[seg] * period + b_full[seg],
-            weights=w_full[seg],
+            a[classes[seg]] * period + b[classes[seg]],
+            weights=masses[seg],
             minlength=period * period,
         )
-        previous = n_max
         matrix = np.fft.ifft2(raw_mass.reshape(period, period))
         matrix *= period * period / n_max
         coeffs = DCoefficients(period=period, length=n_max, matrix=matrix)

@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from ergolab import cli, maximal
 from ergolab.cli import USAGE_EXIT, UsageError, main, parse_args
+from ergolab.weights import sieve
 
 
 def test_parse_sieve_defaults_and_flags():
@@ -237,3 +239,50 @@ def test_repeated_runs_byte_identical(tmp_path):
         first = out.read_bytes()
         assert main(args + ["--out", str(out)]) == 0
         assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectral-check", "--j", "0"],
+        ["spectral-check", "--n", "0"],
+        ["spectral-check", "--trials", "0"],
+        ["maximal", "--j", "0"],
+        ["maximal", "--mode", "global", "--n-max", "-5"],
+        ["expsum", "scan", "--n-max", "0"],
+        ["expsum", "scan", "--grid-den", "0"],
+    ],
+)
+def test_out_of_range_orbit_inputs_exit_64(argv, capsys):
+    assert main(argv) == USAGE_EXIT
+    err = capsys.readouterr().err
+    assert err.startswith("ergolab: error:")
+    assert "Traceback" not in err
+
+
+def test_oversized_ladder_exits_64(monkeypatch, capsys):
+    monkeypatch.setattr(maximal, "MAX_LADDER_MEMBERS", 1000)
+    argv = ["maximal", "--mode", "band", "--j", "8", "--rho", "1.0000001", "--bands", "1"]
+    assert main(argv) == USAGE_EXIT
+    err = capsys.readouterr().err
+    assert "distinct members" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["expsum", "scan", "--n-max", "300", "--grid-den", "8"], 300),
+        (["expsum", "profile", "--n-list", "100,700,400", "--grid-den", "8"], 700),
+        (["expsum", "short", "--start", "50", "--span", "20", "--theta", "1/3"], 70),
+    ],
+)
+def test_expsum_sieves_once_to_what_the_mode_reads(argv, limit, monkeypatch, tmp_path):
+    limits = []
+
+    def counting_sieve(kind, n):
+        limits.append(n)
+        return sieve(kind, n)
+
+    monkeypatch.setattr(cli, "run_sieve", counting_sieve)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert limits == [limit]

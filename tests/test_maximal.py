@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from ergolab import rng
+from ergolab import maximal, rng
 from ergolab.maximal import (
     CLASSICAL_P,
     CLASSICAL_Q,
@@ -246,3 +248,36 @@ def test_weak_type_requires_conjugate_exponents(mobius_100k):
         phi, phi, CLASSICAL_P, CLASSICAL_Q, mobius_100k, 128, np.array([0.5]), p=1.0, q=np.inf
     )
     assert report.norm_product == pytest.approx(phi.norm_counting(1) * phi.norm_counting(np.inf))
+
+
+def _literal_ladder(rho, limit):
+    """Distinct floor(rho**n) <= limit, one power at a time."""
+    members = []
+    n = 0
+    while True:
+        value = math.floor(rho**n)
+        if value > limit:
+            return tuple(members)
+        if not members or value > members[-1]:
+            members.append(value)
+        n += 1
+
+
+@pytest.mark.parametrize("rho", [1.001, 1.1, 1.5, 2.0, 3.7])
+def test_ladder_members_match_literal_definition(rho):
+    for limit in (1, 7, 1000, 10**6):
+        assert LacunaryLadder.build(rho, limit).members == _literal_ladder(rho, limit)
+
+
+def test_ladder_near_one_hits_every_integer():
+    # Below 1e5 consecutive powers of 1 + 1e-7 differ by less than 0.01,
+    # so the literal definition yields every integer; the power-by-power
+    # loop would need about 1.2e8 steps to show it.
+    assert LacunaryLadder.build(1 + 1e-7, 10**5).members == tuple(range(1, 10**5 + 1))
+
+
+def test_ladder_member_cap(monkeypatch):
+    monkeypatch.setattr(maximal, "MAX_LADDER_MEMBERS", 100)
+    assert len(LacunaryLadder.build(1.001, 100).members) == 100
+    with pytest.raises(ValueError, match="distinct members"):
+        LacunaryLadder.build(1.001, 101)
