@@ -6,11 +6,16 @@ merged configuration and the seed; reports embed the configuration,
 tool version, and the tolerance constants in force, and are written
 byte-identically on repeated runs (wall-clock timing goes to stderr
 only).  Precedence: built-in defaults < config file (key=value lines)
-< explicit flags.  ERGO_LAB_THREADS overrides the default worker count;
-an explicit --threads flag wins.  Worker count never changes output.
+< explicit flags.  A config key is the flag name (n-max or n_max), and
+every merged value passes the same conversion, choices and range checks
+whichever source it came from.  ERGO_LAB_THREADS overrides the default
+worker count; an explicit --threads flag wins.  Worker count never
+changes output.
 
 Exit codes: 0 success, 2 invariant violation detected mid-run,
-3 I/O failure, 64 usage error.
+3 I/O failure (including a missing or unreadable --config file),
+64 usage error (including a table past the sieve capacity, a non-finite
+--rho and a report input that is not valid JSON).
 """
 
 from __future__ import annotations
@@ -18,10 +23,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +37,7 @@ from . import __version__, dynamics, maximal, rng, spectral
 from .expsums import RationalAngle, RationalGrid, grid_scan, max_over_grid, short_interval_sum
 from .polynomials import IntPolynomial, parse_poly
 from .spectral import TOLERANCES, PeriodicSignal
-from .weights import WeightKind, sieve as run_sieve
+from .weights import CapacityError, WeightKind, sieve as run_sieve
 
 USAGE_EXIT = 64
 
@@ -48,262 +56,228 @@ _WEIGHTS = {"mobius": WeightKind.MOBIUS, "liouville": WeightKind.LIOUVILLE}
 _BOOL_STRINGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _to_bool(text):
-    if isinstance(text, bool):
-        return text
-    try:
-        return _BOOL_STRINGS[str(text).strip().lower()]
-    except KeyError:
-        raise UsageError(f"cannot read boolean value {text!r}") from None
+def _to_bool(value) -> bool:
+    return _BOOL_STRINGS[str(value).strip().lower()]
 
 
-# Per-subcommand option schema: key -> (converter, default).  Defaults may
-# be callables evaluated at parse time (threads honours ERGO_LAB_THREADS).
+def _to_list(value) -> list:
+    """Flag values arrive as a list, config-file values as "a,b"."""
+    return value.split(",") if isinstance(value, str) else list(value)
+
+
 def _default_threads():
-    env = os.environ.get("ERGO_LAB_THREADS")
-    if env is None:
-        return 1
-    try:
-        value = int(env)
-    except ValueError:
-        raise UsageError(f"ERGO_LAB_THREADS={env!r} is not an integer") from None
-    if value < 1:
-        raise UsageError("ERGO_LAB_THREADS must be at least 1")
-    return value
+    """ERGO_LAB_THREADS if set; checked like a --threads value."""
+    return os.environ.get("ERGO_LAB_THREADS", 1)
 
 
-_SCHEMAS: dict[str, dict[str, tuple]] = {
+@dataclass(frozen=True)
+class _Option:
+    """One option: flag --some-key, config key some-key or some_key.
+
+    A callable default is evaluated at parse time.
+    """
+
+    default: object = None
+    convert: Callable = str
+    help: str | None = None
+    choices: tuple = ()
+    low: int | None = None
+
+
+# argparse form of the flags that do not take one string
+_FLAG_FORMS = {_to_bool: {"action": "store_true"}, _to_list: {"nargs": "+"}}
+
+_WEIGHT = _Option("mobius", choices=tuple(sorted(_WEIGHTS)))
+_SEED = _Option(0, int)
+_RHO = _Option(2.0, float)
+_OUT = _Option(help="output file path")
+_THREADS = _Option(_default_threads, int, "worker count (never changes output)", low=1)
+
+_OPTIONS: dict[str, dict[str, _Option]] = {
     "sieve": {
-        "weight": (str, "mobius"),
-        "limit": (int, 1000),
-        "out": (str, None),
-        "sums": (_to_bool, False),
-        "threads": (int, _default_threads),
+        "weight": _WEIGHT,
+        "limit": _Option(1000, int, low=1),
+        "out": _OUT,
+        "sums": _Option(False, _to_bool, "append running partial sums"),
+        "threads": _THREADS,
     },
     "expsum": {
-        "mode": (str, "scan"),
-        "weight": (str, "mobius"),
-        "poly": (str, "0,1"),
-        "n_max": (int, 10000),
-        "grid_den": (int, 4096),
-        "n_list": (str, "1024,4096,16384"),
-        "start": (int, 10000),
-        "span": (int, 1000),
-        "theta": (str, "0/1"),
-        "out": (str, None),
-        "threads": (int, _default_threads),
+        "mode": _Option("scan", choices=("scan", "profile", "short")),
+        "weight": _WEIGHT,
+        "poly": _Option("0,1", help='phase polynomial "c0,c1,..."'),
+        "n_max": _Option(10000, int),
+        "grid_den": _Option(4096, int),
+        "n_list": _Option("1024,4096,16384", help="comma-separated lengths (profile mode)"),
+        "start": _Option(10000, int, "window start (short mode)"),
+        "span": _Option(1000, int, "window span (short mode)"),
+        "theta": _Option("0/1", help="frequency a/q in turns (short mode)"),
+        "out": _OUT,
+        "threads": _THREADS,
     },
     "average": {
-        "system": (str, "cyclic:128"),
-        "f": (str, "pm1:1"),
-        "g": (str, "pm1:2"),
-        "poly_p": (str, "0,0,1"),
-        "poly_q": (str, "0,1"),
-        "weight": (str, "mobius"),
-        "rho": (float, 2.0),
-        "limit": (int, 65536),
-        "starts": (int, 1),
-        "seed": (int, 0),
-        "out": (str, None),
-        "threads": (int, _default_threads),
+        "system": _Option("cyclic:128", help="cyclic:J or rotation:p/q"),
+        "f": _Option(
+            "pm1:1", help="observable spec (pm1:SEED delta:K const:C complex:SEED modes:M=C;..)"
+        ),
+        "g": _Option("pm1:2", help="observable spec"),
+        "poly_p": _Option("0,0,1"),
+        "poly_q": _Option("0,1"),
+        "weight": _WEIGHT,
+        "rho": _RHO,
+        "limit": _Option(65536, int, low=1),
+        "starts": _Option(1, int, "number of seeded start points"),
+        "seed": _SEED,
+        "out": _OUT,
+        "threads": _THREADS,
     },
     "spectral-check": {
-        "j": (int, 256),
-        "n": (int, 1000),
-        "poly_p": (str, "0,0,1"),
-        "poly_q": (str, "0,1"),
-        "weight": (str, "mobius"),
-        "seed": (int, 0),
-        "trials": (int, 3),
-        "inject_fault": (_to_bool, False),
-        "out": (str, None),
-        "threads": (int, _default_threads),
+        "j": _Option(256, int, low=1),
+        "n": _Option(1000, int, low=1),
+        "poly_p": _Option("0,0,1"),
+        "poly_q": _Option("0,1"),
+        "weight": _WEIGHT,
+        "seed": _SEED,
+        "trials": _Option(3, int, low=1),
+        "inject_fault": _Option(
+            False, _to_bool, "corrupt one coefficient (test fixture; forces exit 2)"
+        ),
+        "out": _OUT,
+        "threads": _THREADS,
     },
     "maximal": {
-        "mode": (str, "oscillation"),
-        "j": (int, 1024),
-        "rho": (float, 2.0),
-        "bands": (int, 10),
-        "n_max": (int, 0),  # 0: use the last band endpoint
-        "weight": (str, "mobius"),
-        "poly_p": (str, "0,1"),
-        "poly_q": (str, "0,-1"),
-        "seed": (int, 0),
-        "out": (str, None),
-        "threads": (int, _default_threads),
+        "mode": _Option("oscillation", choices=("band", "global", "weaktype", "oscillation")),
+        "j": _Option(1024, int, low=1),
+        "rho": _RHO,
+        "bands": _Option(10, int, low=1),
+        "n_max": _Option(0, int, "0: use the last band endpoint", low=0),
+        "weight": _WEIGHT,
+        "poly_p": _Option("0,1"),
+        "poly_q": _Option("0,-1"),
+        "seed": _SEED,
+        "out": _OUT,
+        "threads": _THREADS,
     },
     "report": {
-        "inputs": (list, ()),
-        "out": (str, None),
-        "threads": (int, _default_threads),
+        "inputs": _Option((), _to_list),
+        "out": _OUT,
+        "threads": _THREADS,
     },
 }
+
+# expsum's mode is the optional positional word after the subcommand
+_POSITIONAL = ("expsum", "mode")
+
+# the lengths each expsum mode reads, each at least 1
+_EXPSUM_LENGTHS = {
+    "scan": ("n_max", "grid_den"),
+    "profile": ("grid_den",),
+    "short": ("start", "span"),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ergolab", description=__doc__, argument_default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, **kwargs):
-        p = sub.add_parser(name, argument_default=argparse.SUPPRESS, **kwargs)
+    for name, options in _OPTIONS.items():
+        p = sub.add_parser(name, help=_COMMANDS[name].__doc__, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="key=value file; flags take precedence")
-        p.add_argument("--threads", type=int, help="worker count (never changes output)")
-        p.add_argument("--out", help="output file path")
-        return p
-
-    p = add("sieve", help="write sieved weight values as CSV")
-    p.add_argument("--weight", choices=sorted(_WEIGHTS))
-    p.add_argument("--limit", type=int)
-    p.add_argument("--sums", action="store_true", help="append running partial sums")
-
-    p = add("expsum", help="weighted polynomial exponential sums")
-    # the optional positional mode (scan | profile | short) is extracted in
-    # parse_args; argparse positionals do not combine with SUPPRESS defaults
-    p.add_argument("--weight", choices=sorted(_WEIGHTS))
-    p.add_argument("--poly", help='phase polynomial "c0,c1,..."')
-    p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--grid-den", type=int, dest="grid_den")
-    p.add_argument("--n-list", dest="n_list", help="comma-separated lengths (profile mode)")
-    p.add_argument("--start", type=int, help="window start (short mode)")
-    p.add_argument("--span", type=int, help="window span (short mode)")
-    p.add_argument("--theta", help="frequency a/q in turns (short mode)")
-
-    p = add("average", help="bilinear averages along a lacunary ladder")
-    p.add_argument("--system", help="cyclic:J or rotation:p/q")
-    p.add_argument("--f", help="observable spec (pm1:SEED delta:K const:C complex:SEED modes:M=C;..)")
-    p.add_argument("--g", help="observable spec")
-    p.add_argument("--poly-p", dest="poly_p")
-    p.add_argument("--poly-q", dest="poly_q")
-    p.add_argument("--weight", choices=sorted(_WEIGHTS))
-    p.add_argument("--rho", type=float)
-    p.add_argument("--limit", type=int)
-    p.add_argument("--starts", type=int, help="number of seeded start points")
-    p.add_argument("--seed", type=int)
-
-    p = add("spectral-check", help="dual-path Fourier identity check, JSON report")
-    p.add_argument("--j", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--poly-p", dest="poly_p")
-    p.add_argument("--poly-q", dest="poly_q")
-    p.add_argument("--weight", choices=sorted(_WEIGHTS))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--inject-fault", dest="inject_fault", action="store_true",
-                   help="corrupt one coefficient (test fixture; forces exit 2)")
-
-    p = add("maximal", help="maximal / oscillation statistics, JSON report")
-    p.add_argument("--mode", choices=["band", "global", "weaktype", "oscillation"])
-    p.add_argument("--j", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--bands", type=int)
-    p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--weight", choices=sorted(_WEIGHTS))
-    p.add_argument("--poly-p", dest="poly_p")
-    p.add_argument("--poly-q", dest="poly_q")
-    p.add_argument("--seed", type=int)
-
-    p = add("report", help="aggregate prior outputs into one JSON summary")
-    p.add_argument("--inputs", nargs="+")
-
+        for key, option in options.items():
+            if (name, key) == _POSITIONAL:
+                continue
+            form = dict(_FLAG_FORMS.get(option.convert, {}))
+            if option.choices:
+                form["metavar"] = "{" + ",".join(option.choices) + "}"
+            p.add_argument(_flag(key), help=option.help, **form)
     return parser
 
 
 def _read_config_file(path: str) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for lineno, raw in enumerate(handle, 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                key, _, value = line.partition("=")
+                values[key.strip().replace("-", "_")] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"--config {path}: {exc}") from None
     return values
 
 
 def parse_args(argv) -> dict:
     """Merged, validated run configuration (defaults < config file < flags)."""
     argv = list(argv)
-    mode = None
-    if argv and argv[0] == "expsum" and len(argv) > 1 and not argv[1].startswith("-"):
-        mode = argv.pop(1)
-    namespace = _build_parser().parse_args(argv)
-    explicit = vars(namespace)
-    if mode is not None:
-        explicit["mode"] = mode
+    explicit = {}
+    # argparse positionals do not combine with SUPPRESS defaults
+    if argv[:1] == [_POSITIONAL[0]] and len(argv) > 1 and not argv[1].startswith("-"):
+        explicit[_POSITIONAL[1]] = argv.pop(1)
+    explicit.update(vars(_build_parser().parse_args(argv)))
     subcommand = explicit.pop("subcommand")
-    schema = _SCHEMAS[subcommand]
+    options = _OPTIONS[subcommand]
 
-    merged = {}
-    for key, (_, default) in schema.items():
-        merged[key] = default() if callable(default) and not isinstance(default, type) else default
+    merged = {k: o.default() if callable(o.default) else o.default for k, o in options.items()}
     config_path = explicit.pop("config", None)
     if config_path:
         file_values = _read_config_file(config_path)
-        unknown = set(file_values) - set(schema)
+        unknown = set(file_values) - set(options)
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
         merged.update(file_values)
     merged.update(explicit)
 
-    for key, value in list(merged.items()):
-        converter = schema[key][0]
-        if converter is list:
-            merged[key] = list(value) if not isinstance(value, str) else value.split(",")
-            continue
-        if isinstance(value, str) and converter is not str:
-            try:
-                merged[key] = converter(value)
-            except (TypeError, ValueError):
-                raise UsageError(f"--{key.replace('_', '-')}: cannot read {value!r}") from None
-        elif converter is _to_bool:
-            merged[key] = _to_bool(value)
+    config = {key: _checked(subcommand, key, value) for key, value in merged.items()}
+    config["subcommand"] = subcommand
+    _validate(config)
+    return config
 
-    merged["subcommand"] = subcommand
-    _validate(merged)
-    return merged
+
+def _checked(subcommand: str, key: str, value):
+    """The one conversion and range check, whatever the value's source."""
+    if value is None:
+        return None
+    option = _OPTIONS[subcommand][key]
+    name = " ".join(_POSITIONAL) if (subcommand, key) == _POSITIONAL else _flag(key)
+    try:
+        value = option.convert(value)
+    except (KeyError, TypeError, ValueError):
+        raise UsageError(f"{name}: cannot read {value!r}") from None
+    if option.choices and value not in option.choices:
+        raise UsageError(f"{name} must be one of {', '.join(option.choices)}")
+    if option.low is not None:
+        _at_least(key, value, option.low)
+    return value
+
+
+def _at_least(key: str, value, low: int) -> None:
+    if value < low:
+        raise UsageError(f"{_flag(key)} must be at least {low}")
 
 
 def _validate(config: dict) -> None:
-    sub = config["subcommand"]
-    if config.get("threads", 1) < 1:
-        raise UsageError("--threads must be at least 1")
-    if "weight" in config and config["weight"] not in _WEIGHTS:
-        raise UsageError(f"--weight must be one of {sorted(_WEIGHTS)}")
-    if "rho" in config and config["rho"] <= 1.0:
-        raise UsageError("--rho: rho must exceed 1")
-    if "limit" in config and config["limit"] < 1:
-        raise UsageError("--limit must be at least 1")
-    if sub == "expsum":
+    """The checks that span options or read a format."""
+    if "rho" in config:
+        if not math.isfinite(config["rho"]):
+            raise UsageError("--rho must be finite")
+        if config["rho"] <= 1.0:
+            raise UsageError("--rho: rho must exceed 1")
+    if config["subcommand"] == "expsum":
         mode = config["mode"]
-        if mode not in ("scan", "profile", "short"):
-            raise UsageError("expsum mode must be scan, profile, or short")
-        if mode == "scan":
-            _at_least(config, "n_max", 1)
-        if mode in ("scan", "profile"):
-            _at_least(config, "grid_den", 1)
+        for key in _EXPSUM_LENGTHS[mode]:
+            _at_least(key, config[key], 1)
         if mode == "profile":
             _lengths(config["n_list"])
-        if mode == "short":
-            if "/" not in config["theta"]:
-                raise UsageError("--theta must be a fraction a/q")
-            _at_least(config, "start", 1)
-            _at_least(config, "span", 1)
-    if sub == "spectral-check":
-        for key in ("j", "n", "trials"):
-            _at_least(config, key, 1)
-    if sub == "maximal":
-        _at_least(config, "j", 1)
-        _at_least(config, "bands", 1)
-        _at_least(config, "n_max", 0)
-    if sub == "report" and not config["inputs"]:
+        if mode == "short" and "/" not in config["theta"]:
+            raise UsageError("--theta must be a fraction a/q")
+    if config["subcommand"] == "report" and not config["inputs"]:
         raise UsageError("--inputs requires at least one file")
-
-
-def _at_least(config: dict, key: str, low: int) -> None:
-    if config[key] < low:
-        raise UsageError(f"--{key.replace('_', '-')} must be at least {low}")
 
 
 def _lengths(text) -> list[int]:
@@ -321,7 +295,7 @@ def _poly(config: dict, key: str) -> IntPolynomial:
     try:
         return parse_poly(config[key])
     except ValueError as exc:
-        raise UsageError(f"--{key.replace('_', '-')}: {exc}") from None
+        raise UsageError(f"{_flag(key)}: {exc}") from None
 
 
 # ----------------------------------------------------------------- output --
@@ -360,6 +334,7 @@ def _csv(rows, header: str) -> str:
 # ------------------------------------------------------------ subcommands --
 
 def _cmd_sieve(config: dict) -> int:
+    """write sieved weight values as CSV"""
     table = run_sieve(_WEIGHTS[config["weight"]], config["limit"])
     if config["sums"]:
         sums = table.cumulative()
@@ -373,6 +348,7 @@ def _cmd_sieve(config: dict) -> int:
 
 
 def _cmd_expsum(config: dict) -> int:
+    """weighted polynomial exponential sums"""
     poly = _poly(config, "poly")
     mode = config["mode"]
     if mode == "profile":
@@ -459,11 +435,16 @@ def _parse_observable(spec: str, system):
 
 
 def _cmd_average(config: dict) -> int:
+    """bilinear averages along a lacunary ladder"""
     system = _parse_system(config["system"])
     f = _parse_observable(config["f"], system)
     g = _parse_observable(config["g"], system)
     p_poly = _poly(config, "poly_p")
     q_poly = _poly(config, "poly_q")
+    try:  # each trace builds this ladder again; check it once, before the sieve
+        maximal.LacunaryLadder.build(config["rho"], config["limit"])
+    except ValueError as exc:
+        raise UsageError(f"--rho/--limit: {exc}") from None
     table = run_sieve(_WEIGHTS[config["weight"]], config["limit"])
     state_count = system.period if isinstance(system, dynamics.CyclicShift) else system.denominator
     starts = [0]
@@ -497,6 +478,7 @@ def _pooled_map(fn, items, threads: int):
 
 
 def _cmd_spectral_check(config: dict) -> int:
+    """dual-path Fourier identity check, JSON report"""
     period, n_max = config["j"], config["n"]
     p_poly = _poly(config, "poly_p")
     q_poly = _poly(config, "poly_q")
@@ -549,6 +531,7 @@ def _cmd_spectral_check(config: dict) -> int:
 
 
 def _cmd_maximal(config: dict) -> int:
+    """maximal / oscillation statistics, JSON report"""
     period = config["j"]
     phi = PeriodicSignal.seeded_pm1(period, rng.derive_seed(config["seed"], 0))
     psi = PeriodicSignal.seeded_pm1(period, rng.derive_seed(config["seed"], 1))
@@ -609,6 +592,7 @@ def _cmd_maximal(config: dict) -> int:
 
 
 def _cmd_report(config: dict) -> int:
+    """aggregate prior outputs into one JSON summary"""
     entries = []
     for path in config["inputs"]:
         with open(path, "rb") as handle:
@@ -621,7 +605,10 @@ def _cmd_report(config: dict) -> int:
         text = blob.decode("utf-8", errors="replace")
         if path.endswith(".json"):
             entry["kind"] = "json"
-            entry["content"] = json.loads(text)
+            try:
+                entry["content"] = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise UsageError(f"--inputs: {path} is not valid JSON: {exc}") from None
         else:
             entry["kind"] = "csv"
             lines = text.splitlines()
@@ -642,14 +629,26 @@ _COMMANDS = {
 }
 
 
+# CapacityError: a table past the sieve cap, raised before any allocation
+_FAILURES = (UsageError, CapacityError, OSError)
+
+
+def _failure(exc: Exception) -> int:
+    """Report a usage or I/O failure on stderr; returns its exit code."""
+    if isinstance(exc, OSError):
+        print(f"ergolab: i/o failure: {exc}", file=sys.stderr)
+        return 3
+    print(f"ergolab: error: {exc}", file=sys.stderr)
+    return USAGE_EXIT
+
+
 def run(config: dict) -> int:
     """Execute a parsed configuration; returns the process exit code."""
     started = time.monotonic()
     try:
         code = _COMMANDS[config["subcommand"]](config)
-    except OSError as exc:
-        print(f"ergolab: i/o failure: {exc}", file=sys.stderr)
-        return 3
+    except _FAILURES as exc:
+        return _failure(exc)
     print(
         f"ergolab {config['subcommand']}: wall {time.monotonic() - started:.3f}s",
         file=sys.stderr,
@@ -660,14 +659,9 @@ def run(config: dict) -> int:
 def main(argv=None) -> int:
     try:
         config = parse_args(sys.argv[1:] if argv is None else argv)
-    except UsageError as exc:
-        print(f"ergolab: error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    try:
-        return run(config)
-    except UsageError as exc:
-        print(f"ergolab: error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+    except _FAILURES as exc:
+        return _failure(exc)
+    return run(config)
 
 
 if __name__ == "__main__":

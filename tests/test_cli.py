@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -286,3 +287,115 @@ def test_expsum_sieves_once_to_what_the_mode_reads(argv, limit, monkeypatch, tmp
     monkeypatch.setattr(cli, "run_sieve", counting_sieve)
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
     assert limits == [limit]
+
+
+@pytest.mark.parametrize(
+    "sub, line",
+    [("maximal", "mode=bogus"), ("maximal", "weight=foo"), ("sieve", "limit=abc")],
+)
+def test_config_values_get_the_flag_checks(sub, line, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == USAGE_EXIT
+    assert capsys.readouterr().err.startswith("ergolab: error:")
+    assert not (tmp_path / "out").exists()
+
+
+# The built-in defaults of every subcommand, with ERGO_LAB_THREADS unset.
+DEFAULTS = {
+    "sieve": {"weight": "mobius", "limit": 1000, "out": None, "sums": False, "threads": 1},
+    "expsum": {
+        "mode": "scan", "weight": "mobius", "poly": "0,1", "n_max": 10000, "grid_den": 4096,
+        "n_list": "1024,4096,16384", "start": 10000, "span": 1000, "theta": "0/1",
+        "out": None, "threads": 1,
+    },
+    "average": {
+        "system": "cyclic:128", "f": "pm1:1", "g": "pm1:2", "poly_p": "0,0,1", "poly_q": "0,1",
+        "weight": "mobius", "rho": 2.0, "limit": 65536, "starts": 1, "seed": 0,
+        "out": None, "threads": 1,
+    },
+    "spectral-check": {
+        "j": 256, "n": 1000, "poly_p": "0,0,1", "poly_q": "0,1", "weight": "mobius",
+        "seed": 0, "trials": 3, "inject_fault": False, "out": None, "threads": 1,
+    },
+    "maximal": {
+        "mode": "oscillation", "j": 1024, "rho": 2.0, "bands": 10, "n_max": 0,
+        "weight": "mobius", "poly_p": "0,1", "poly_q": "0,-1", "seed": 0,
+        "out": None, "threads": 1,
+    },
+    "report": {"inputs": ["a.csv"], "out": None, "threads": 1},
+}
+
+
+@pytest.mark.parametrize("sub", sorted(DEFAULTS))
+def test_default_config_of_every_subcommand(sub, monkeypatch):
+    monkeypatch.delenv("ERGO_LAB_THREADS", raising=False)
+    argv = [sub, "--inputs", "a.csv"] if sub == "report" else [sub]
+    config = parse_args(argv)
+    expected = dict(DEFAULTS[sub], subcommand=sub)
+    assert config == expected
+    assert {k: type(v) for k, v in config.items()} == {k: type(v) for k, v in expected.items()}
+
+
+@pytest.mark.parametrize("sub", sorted(DEFAULTS))
+def test_help_lists_every_flag(sub, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        parse_args([sub, "--help"])
+    assert exit_info.value.code == 0
+    listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+    for key in cli._OPTIONS[sub]:
+        if (sub, key) != cli._POSITIONAL:
+            assert "--" + key.replace("_", "-") in listed
+
+
+@pytest.mark.parametrize("content, code", [(None, 3), (b"limit=\xff\n", USAGE_EXIT)])
+def test_unreadable_config_file(content, code, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    if content is not None:
+        cfg.write_bytes(content)
+    assert main(["sieve", "--config", str(cfg)]) == code
+    err = capsys.readouterr().err
+    assert "run.cfg" in err and "Traceback" not in err
+
+
+def test_report_on_malformed_json_exits_64(tmp_path, capsys):
+    bad = tmp_path / "x.json"
+    bad.write_text("not json\n")
+    assert main(["report", "--inputs", str(bad), "--out", str(tmp_path / "s.json")]) == USAGE_EXIT
+    err = capsys.readouterr().err
+    assert err.startswith("ergolab: error:") and str(bad) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sieve", "--limit", "300000000"],
+        ["average", "--limit", "300000000"],
+        ["spectral-check", "--n", "300000000"],
+        ["maximal", "--n-max", "300000000"],
+        ["expsum", "scan", "--n-max", "300000000"],
+        ["expsum", "profile", "--n-list", "10,300000000"],
+        ["expsum", "short", "--start", "199999999", "--span", "2"],
+    ],
+)
+def test_past_the_sieve_capacity_exits_64(argv, capsys):
+    assert main(argv) == USAGE_EXIT
+    err = capsys.readouterr().err
+    assert "capacity" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["maximal", "--rho", "inf"], ["average", "--rho", "inf"], ["average", "--rho", "nan"]],
+)
+def test_non_finite_rho_exits_64(argv, capsys):
+    assert main(argv) == USAGE_EXIT
+    assert "--rho must be finite" in capsys.readouterr().err
+
+
+def test_average_oversized_ladder_exits_64(monkeypatch, capsys):
+    monkeypatch.setattr(maximal, "MAX_LADDER_MEMBERS", 1000)
+    argv = ["average", "--system", "cyclic:8", "--rho", "1.0000001", "--limit", "5000"]
+    assert main(argv) == USAGE_EXIT
+    err = capsys.readouterr().err
+    assert "distinct members" in err and "Traceback" not in err
