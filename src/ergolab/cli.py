@@ -9,8 +9,8 @@ only).  Precedence: built-in defaults < config file (key=value lines)
 < explicit flags.  A config key is the flag name (n-max or n_max), and
 every merged value passes the same conversion, choices and range checks
 whichever source it came from.  ERGO_LAB_THREADS overrides the default
-worker count; an explicit --threads flag wins.  Worker count never
-changes output.
+worker count; an explicit --threads flag wins; either way it is at most
+MAX_THREADS.  Worker count never changes output.
 
 Exit codes: 0 success, 2 invariant violation detected mid-run,
 3 I/O failure (including a missing or unreadable --config file),
@@ -40,6 +40,10 @@ from .spectral import TOLERANCES, PeriodicSignal
 from .weights import CapacityError, WeightKind, sieve as run_sieve
 
 USAGE_EXIT = 64
+
+# Most worker threads a run may ask for; fixed so a config exits the same
+# way on every machine.
+MAX_THREADS = 64
 
 
 class UsageError(Exception):
@@ -102,7 +106,7 @@ _OPTIONS: dict[str, dict[str, _Option]] = {
         "threads": _THREADS,
     },
     "expsum": {
-        "mode": _Option("scan", choices=("scan", "profile", "short")),
+        "mode": _Option("scan", help="what to compute", choices=("scan", "profile", "short")),
         "weight": _WEIGHT,
         "poly": _Option("0,1", help='phase polynomial "c0,c1,..."'),
         "n_max": _Option(10000, int),
@@ -164,7 +168,7 @@ _OPTIONS: dict[str, dict[str, _Option]] = {
     },
 }
 
-# expsum's mode is the optional positional word after the subcommand
+# expsum's mode is an optional positional word, not a flag
 _POSITIONAL = ("expsum", "mode")
 
 # the lengths each expsum mode reads, each at least 1
@@ -186,12 +190,13 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=_COMMANDS[name].__doc__, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="key=value file; flags take precedence")
         for key, option in options.items():
-            if (name, key) == _POSITIONAL:
-                continue
             form = dict(_FLAG_FORMS.get(option.convert, {}))
             if option.choices:
                 form["metavar"] = "{" + ",".join(option.choices) + "}"
-            p.add_argument(_flag(key), help=option.help, **form)
+            if (name, key) == _POSITIONAL:  # choices are checked in _checked
+                p.add_argument(key, nargs="?", help=option.help, **form)
+            else:
+                p.add_argument(_flag(key), help=option.help, **form)
     return parser
 
 
@@ -214,12 +219,7 @@ def _read_config_file(path: str) -> dict:
 
 def parse_args(argv) -> dict:
     """Merged, validated run configuration (defaults < config file < flags)."""
-    argv = list(argv)
-    explicit = {}
-    # argparse positionals do not combine with SUPPRESS defaults
-    if argv[:1] == [_POSITIONAL[0]] and len(argv) > 1 and not argv[1].startswith("-"):
-        explicit[_POSITIONAL[1]] = argv.pop(1)
-    explicit.update(vars(_build_parser().parse_args(argv)))
+    explicit = vars(_build_parser().parse_args(list(argv)))
     subcommand = explicit.pop("subcommand")
     options = _OPTIONS[subcommand]
 
@@ -263,6 +263,8 @@ def _at_least(key: str, value, low: int) -> None:
 
 def _validate(config: dict) -> None:
     """The checks that span options or read a format."""
+    if config["threads"] > MAX_THREADS:
+        raise UsageError(f"--threads must be at most {MAX_THREADS}")
     if "rho" in config:
         if not math.isfinite(config["rho"]):
             raise UsageError("--rho must be finite")

@@ -9,9 +9,14 @@ already is (via float.as_integer_ratio on theta / 2 pi), and the phase
 residues (a * P(n)) mod q are computed in exact integer arithmetic.
 Only the final e^{2 pi i r / q} is floating point.
 
-Grid scans over all a for a fixed q reduce to a length-q histogram of
-the residues followed by one inverse FFT, so a full scan costs
-O(N + q log q) rather than O(N q).
+Since P(n) mod q depends only on n mod q, the sums over n <= N fold onto
+the classes r = n mod q (ergolab.folding): nu enters through the exact
+class masses, and P is evaluated once per class, not once per n.  Grid
+scans over all a for a fixed q reduce to a length-q histogram of the
+class residues followed by one inverse FFT, so a full scan costs
+O(N + q log q) rather than O(N q).  Short-interval sums stay per-n: their
+window does not start at n = 1, and when q exceeds the window each n is
+its own class anyway.
 """
 
 from __future__ import annotations
@@ -22,12 +27,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polynomials import IntPolynomial, eval_mod, eval_mod_range
+from . import folding
+from .polynomials import _VECTOR_MODULUS_MAX, IntPolynomial, eval_mod, eval_mod_range
 from .weights import WeightTable
 
 _TWO_PI = 2.0 * math.pi
-# Largest denominator for which the residue arithmetic stays in int64.
-_VECTOR_DENOMINATOR_MAX = 3_037_000_499
 # Largest denominator for which a table of roots of unity is precomputed.
 _ROOT_TABLE_MAX = 1 << 16
 
@@ -73,7 +77,7 @@ def _as_turns(theta) -> Fraction:
 def _phase_residues(poly: IntPolynomial, n_values: np.ndarray, turns: Fraction):
     """Residues r with P(n) * turns == r / q (mod 1), exactly."""
     a, q = turns.numerator, turns.denominator
-    if q <= _VECTOR_DENOMINATOR_MAX:
+    if q <= _VECTOR_MODULUS_MAX:
         r = eval_mod_range(poly, n_values, q)
         return (a % q) * r % q, q
     residues = np.fromiter(
@@ -107,14 +111,11 @@ def weighted_poly_sum(
     two phase paths agree to about 1e-10 and are cross-checked in the
     test suite.
     """
-    if not 1 <= n_max <= table.limit:
-        raise ValueError(f"N={n_max} outside table range [1, {table.limit}]")
     turns = _as_turns(theta)
-    n_values = np.arange(1, n_max + 1, dtype=np.int64)
-    residues, q = _phase_residues(poly, n_values, turns)
+    _, classes, masses = folding.class_masses(table, turns.denominator, [n_max])
+    residues, q = _phase_residues(poly, classes, turns)
     phases = _phases(residues, q, use_root_table)
-    w = table.values[1 : n_max + 1].astype(np.float64)
-    return complex(np.dot(w, phases) / n_max)
+    return complex(np.dot(masses, phases) / n_max)
 
 
 @dataclass(frozen=True)
@@ -149,13 +150,10 @@ def grid_scan(
     table: WeightTable, poly: IntPolynomial, grid: RationalGrid, n_max: int
 ) -> np.ndarray:
     """All grid values S(2 pi a / q), a = 0..q-1, via histogram + FFT."""
-    if not 1 <= n_max <= table.limit:
-        raise ValueError(f"N={n_max} outside table range [1, {table.limit}]")
     q = grid.denominator
-    n_values = np.arange(1, n_max + 1, dtype=np.int64)
-    residues = eval_mod_range(poly, n_values, q)
-    w = table.values[1 : n_max + 1].astype(np.float64)
-    hist = np.bincount(residues, weights=w, minlength=q)
+    _, classes, masses = folding.class_masses(table, q, [n_max])
+    residues = folding.residues(poly, q, n_max)[classes]
+    hist = np.bincount(residues, weights=masses, minlength=q)
     return np.fft.ifft(hist) * (q / n_max)
 
 
@@ -263,8 +261,7 @@ def short_interval_sum(
     """
     if start < 1 or span < 1:
         raise ValueError("start and span must be positive")
-    if start + span > table.limit:
-        raise ValueError("window end exceeds the table limit")
+    folding.check_length(table, start + span)
     turns = _as_turns(theta)
     n_values = np.arange(start, start + span + 1, dtype=np.int64)
     residues, q = _phase_residues(_LINEAR, n_values, turns)

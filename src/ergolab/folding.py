@@ -9,11 +9,13 @@ depends on the weights only through the class masses
     m_r = sum_{lo <= n <= hi, n = r (mod J)} nu(n),
 
 and costs O(N + classes * (work per class)) instead of O(N * work per n).
-This module owns the three pieces every folded route needs: the table
-range check, the exact int64 class masses, and the class residues
-P(r) mod J.  The class of n is n mod J; when J exceeds N every n <= N is
-its own class, so a period larger than the sum length never costs more
-than the unfolded sum.
+This module owns the pieces every folded route needs: the table range
+check, the exact int64 class masses, the class residues P(r) mod J, and
+the cyclic-shift orbit sums built from them.  The direct averages, the
+D[k][l] mass kernels, the ladder statistics, the dynamics averages and
+the exponential-sum scans all read nu through class_masses.  The class
+of n is n mod J; when J exceeds N every n <= N is its own class, so a
+period larger than the sum length never costs more than the unfolded sum.
 """
 
 from __future__ import annotations
@@ -64,6 +66,8 @@ def class_masses(
     if spans.size == 0 or np.any(spans < 1):
         raise ValueError("lengths must be nonempty and strictly increasing")
     check_length(table, int(bounds[-1]))
+    # Past the last n every n is its own class; this keeps periods in int64.
+    period = min(period, int(bounds[-1]) + 1)
     values = table.values
     segment_ids, classes, masses = [], [], []
 
@@ -97,28 +101,32 @@ def class_masses(
 
 
 def orbit_sums(
+    table: WeightTable,
+    p_poly: IntPolynomial,
+    q_poly: IntPolynomial,
     f: np.ndarray,
     g: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    masses: tuple[np.ndarray, np.ndarray, np.ndarray],
+    lengths,
 ) -> np.ndarray:
-    """Running sums S_k(j) = sum_r M_k(r) f(j + a_r) g(j + b_r) on Z/JZ.
+    """Running sums S_N(j) = sum_{n<=N} nu(n) f(j + P(n)) g(j + Q(n)) on Z/JZ.
 
-    f and g are the J values of two J-periodic signals, a and b the class
-    residues of P and Q mod J (from ``residues``), and M_k the masses of
-    segments 0..k (``masses`` as ``class_masses`` returns them).  Row k of
-    the result belongs to segment k.  Each class costs one J-long gather
-    of the cyclic shifts f(. + a_r) g(. + b_r), done in blocks of classes
+    f and g are the J values of two J-periodic signals; row k of the
+    result is N = lengths[k], which must increase strictly.  Each class r
+    with a nonzero mass m_r costs one J-long gather of the cyclic shifts
+    f(. + P(r)) g(. + Q(r)), weighted by m_r and done in blocks of classes
     to bound memory.
     Accumulation is in a fixed order without BLAS, so results do not depend
     on thread counts; with integer-valued signals every sum is exact.
     """
     period = f.size
+    if g.size != period:
+        raise ValueError("signal periods differ")
+    offsets, classes, weights = class_masses(table, period, lengths)
+    a = residues(p_poly, period, lengths[-1])
+    b = residues(q_poly, period, lengths[-1])
     f_windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([f, f]), period)
     g_windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([g, g]), period)
     block = max(1, _BLOCK_ELEMENTS // period)
-    offsets, classes, weights = masses
     sums = np.empty((offsets.size - 1, period), dtype=np.complex128)
     running = np.zeros(period, dtype=np.complex128)
     for row in range(offsets.size - 1):

@@ -126,26 +126,6 @@ def _check_pair(phi: PeriodicSignal, psi: PeriodicSignal) -> int:
     return phi.period
 
 
-def _sums_at_checkpoints(
-    phi: PeriodicSignal,
-    psi: PeriodicSignal,
-    p_poly: IntPolynomial,
-    q_poly: IntPolynomial,
-    table: WeightTable,
-    checkpoints: list[int],
-) -> np.ndarray:
-    """Unnormalized running sums S_N(j) for every j at each checkpoint N.
-
-    Folded onto the classes n mod J: the class masses of each stretch
-    between checkpoints weight the cyclic shifts phi(. + P(r)) psi(. + Q(r)).
-    """
-    period = _check_pair(phi, psi)
-    masses = folding.class_masses(table, period, checkpoints)
-    a = folding.residues(p_poly, period, checkpoints[-1])
-    b = folding.residues(q_poly, period, checkpoints[-1])
-    return folding.orbit_sums(phi.values, psi.values, a, b, masses)
-
-
 def band_maximal(
     phi: PeriodicSignal,
     psi: PeriodicSignal,
@@ -162,7 +142,7 @@ def band_maximal(
     """
     lo, hi = ladder.band(k)
     checkpoints = ladder.members_between(lo, hi)
-    sums = _sums_at_checkpoints(phi, psi, p_poly, q_poly, table, checkpoints)
+    sums = folding.orbit_sums(table, p_poly, q_poly, phi.values, psi.values, checkpoints)
     base = sums[0] / checkpoints[0]
     peak = np.zeros(phi.period, dtype=np.float64)
     for row, n_value in enumerate(checkpoints):
@@ -203,7 +183,7 @@ def oscillation_sum(
         raise ValueError(f"band_count {band_count} outside 1..{ladder.band_count}")
     period = _check_pair(phi, psi)
     checkpoints = ladder.members_between(ladder.bands[0], ladder.bands[band_count])
-    sums = _sums_at_checkpoints(phi, psi, p_poly, q_poly, table, checkpoints)
+    sums = folding.orbit_sums(table, p_poly, q_poly, phi.values, psi.values, checkpoints)
     averages = sums / np.array(checkpoints, dtype=np.float64)[:, None]
     positions = {n_value: row for row, n_value in enumerate(checkpoints)}
 

@@ -21,10 +21,13 @@ route through the coefficients
     D[N][k][l] = (1/N) sum_{n<=N} nu(n) e^{2 pi i (k P(n) + l Q(n)) / J},
 
 via A_N(j) = sum_{k,l} F(f)(k) F(g)(l) D[N][k][l] e^{2 pi i (k+l) j / J}.
-Both routes start from the class masses and residues of ergolab.folding,
-which the test suite checks against plain per-n loops; past that they
-are independent code paths and the test suite holds them together at
-tight tolerances; any disagreement is a bug, not a feature.
+D is the 2-d transform of the lifted kernel pair: one particle per class
+r = n mod J with mass m_r / N at (P(r), Q(r)), where m_r are the class
+masses of ergolab.folding.  The direct route is folding.orbit_sums.  Both
+routes start from those class masses, which the test suite checks against
+plain per-n loops; past that they are independent code paths and the
+test suite holds them together at tight tolerances; any disagreement is
+a bug, not a feature.
 
 lp norms on Z/JZ use the normalized counting measure:
 ||f||_p = ((1/J) sum |f(j)|^p)^(1/p).
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import folding, rng
-from .polynomials import IntPolynomial, eval_mod_range
+from .polynomials import IntPolynomial
 from .weights import WeightTable
 
 # Tolerances in force for the dual-path identities (relative to
@@ -146,23 +149,18 @@ def d_coefficients(
 ) -> DCoefficients:
     """All J^2 coefficients in O(N + J^2 log J).
 
-    The class masses of n mod J are scattered onto (P(r) mod J, Q(r) mod J)
-    and the matrix is one 2-d transform of that mass table; phases are
-    exact because the residues are computed with modular Horner evaluation.
+    D is the transform of off_diagonal(K_P, K_Q), the folded kernels of
+    build_kernels lifted to (P(r), Q(r)); phases are exact because the
+    residues are computed with modular Horner evaluation.
     """
-    _, classes, masses = folding.class_masses(table, period, [n_max])
-    a = folding.residues(p_poly, period, n_max)[classes]
-    b = folding.residues(q_poly, period, n_max)[classes]
-    mass = np.bincount(a * period + b, weights=masses, minlength=period * period)
-    mass = mass.reshape(period, period) / n_max
-    matrix = np.fft.ifft2(mass)
-    matrix *= period * period
+    k_p, k_q, _ = build_kernels(table, p_poly, q_poly, n_max, period)
+    matrix = off_diagonal(k_p, k_q).transform()
     return DCoefficients(period=period, length=n_max, matrix=matrix)
 
 
 @dataclass
 class DiagonalKernel:
-    """Signed particle masses on Z/JZ: one particle per summand n."""
+    """Signed particle masses on Z/JZ: one particle per class n mod J."""
 
     period: int
     positions: np.ndarray
@@ -239,18 +237,16 @@ def build_kernels(
     n_max: int,
     period: int,
 ) -> tuple[DiagonalKernel, DiagonalKernel, OffDiagonalKernel]:
-    """(K_P, K_Q, L) where L carries mass nu(n)/N at (P(n)-Q(n), Q(n)).
+    """(K_P, K_Q, L): one particle per class r = n mod J of mass m_r / N,
+    at P(r) in K_P, at Q(r) in K_Q and at (P(r)-Q(r), Q(r)) in L.
 
     The 2-d transform of L reproduces the D matrix along fixed-total
     slices: transform(L)[k, s] == D[k][(s-k) mod J].
     """
-    if period < 1:
-        raise ValueError("period must be at least 1")
-    folding.check_length(table, n_max)
-    w = table.values[1 : n_max + 1] / n_max
-    n_values = np.arange(1, n_max + 1, dtype=np.int64)
-    a = eval_mod_range(p_poly, n_values, period)
-    b = eval_mod_range(q_poly, n_values, period)
+    _, classes, masses = folding.class_masses(table, period, [n_max])
+    w = masses / n_max
+    a = folding.residues(p_poly, period, n_max)[classes]
+    b = folding.residues(q_poly, period, n_max)[classes]
     k_p = DiagonalKernel(period, a, w)
     k_q = DiagonalKernel(period, b, w.copy())
     l_kernel = OffDiagonalKernel(period, (a - b) % period, b, w.copy())
@@ -289,29 +285,6 @@ def spectral_average(
     return complex(np.sum(total * chars))
 
 
-def direct_average(
-    table: WeightTable,
-    p_poly: IntPolynomial,
-    q_poly: IntPolynomial,
-    f: PeriodicSignal,
-    g: PeriodicSignal,
-    n_max: int,
-    j: int,
-) -> complex:
-    """(1/N) sum nu(n) f(j + P(n)) g(j + Q(n)) at one base point.
-
-    Folded onto the classes n mod J: one term per class, O(N + J).
-    """
-    if f.period != g.period:
-        raise ValueError("signal periods differ")
-    period = f.period
-    _, classes, masses = folding.class_masses(table, period, [n_max])
-    a = folding.residues(p_poly, period, n_max)[classes]
-    b = folding.residues(q_poly, period, n_max)[classes]
-    prod = f.values[(a + j) % period] * g.values[(b + j) % period]
-    return complex(np.dot(masses, prod) / n_max)
-
-
 def direct_average_all(
     table: WeightTable,
     p_poly: IntPolynomial,
@@ -325,14 +298,8 @@ def direct_average_all(
     The sum is folded onto the classes n mod J, so it costs O(N + J^2)
     rather than O(N J).
     """
-    if f.period != g.period:
-        raise ValueError("signal periods differ")
-    period = f.period
-    masses = folding.class_masses(table, period, [n_max])
-    a = folding.residues(p_poly, period, n_max)
-    b = folding.residues(q_poly, period, n_max)
-    sums = folding.orbit_sums(f.values, g.values, a, b, masses)
-    return PeriodicSignal(period, sums[0] / n_max)
+    sums = folding.orbit_sums(table, p_poly, q_poly, f.values, g.values, [n_max])
+    return PeriodicSignal(f.period, sums[0] / n_max)
 
 
 def l2_norm_of_average(
@@ -367,8 +334,9 @@ def l4_bound_report(
 
     Emits the measured ratio per N so its decay can be inspected; no hard
     bound is asserted because the comparison constant is not effective.
-    The class mass tables are accumulated incrementally across the N
-    list, one 2-d transform per N.
+    The class masses come from one segmented pass over the N list; the
+    matrix at each N is the transform of the lifted kernel pair built
+    from the segments up to that N.
     """
     if f.period != g.period:
         raise ValueError("signal periods differ")
@@ -377,20 +345,13 @@ def l4_bound_report(
     f_spec, g_spec = dft(f), dft(g)
     norm4 = f.norm(4) * g.norm(4)
 
-    raw_mass = np.zeros(period * period, dtype=np.float64)
     rows = []
-    a = folding.residues(p_poly, period, n_list[-1])
-    b = folding.residues(q_poly, period, n_list[-1])
+    a = folding.residues(p_poly, period, n_list[-1])[classes]
+    b = folding.residues(q_poly, period, n_list[-1])[classes]
     for k, n_max in enumerate(n_list):
-        seg = slice(offsets[k], offsets[k + 1])
-        raw_mass += np.bincount(
-            a[classes[seg]] * period + b[classes[seg]],
-            weights=masses[seg],
-            minlength=period * period,
-        )
-        matrix = np.fft.ifft2(raw_mass.reshape(period, period))
-        matrix *= period * period / n_max
-        coeffs = DCoefficients(period=period, length=n_max, matrix=matrix)
+        end = offsets[k + 1]
+        kernel = OffDiagonalKernel(period, a[:end], b[:end], masses[:end] / n_max)
+        coeffs = DCoefficients(period=period, length=n_max, matrix=kernel.transform())
         l2 = float(np.sqrt(l2_norm_of_average(f_spec, g_spec, coeffs)))
         ratio = l2 / norm4 if norm4 > 0 else 0.0
         rows.append(L4BoundRow(n_max, l2, norm4, ratio))

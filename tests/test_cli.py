@@ -55,6 +55,18 @@ def test_threads_env_override(monkeypatch):
         parse_args(["sieve"])
 
 
+@pytest.mark.parametrize("sub", ["average", "spectral-check"])
+def test_threads_above_cap_is_a_usage_error(sub, monkeypatch):
+    # only parsed: no thread is started
+    monkeypatch.delenv("ERGO_LAB_THREADS", raising=False)
+    with pytest.raises(UsageError, match="at most"):
+        parse_args([sub, "--threads", "1000000"])
+    monkeypatch.setenv("ERGO_LAB_THREADS", "1000000")
+    with pytest.raises(UsageError, match="at most"):
+        parse_args([sub])
+    assert parse_args([sub, "--threads", str(cli.MAX_THREADS)])["threads"] == cli.MAX_THREADS
+
+
 def test_sieve_csv_output(tmp_path):
     out = tmp_path / "mob.csv"
     assert main(["sieve", "--weight", "mobius", "--limit", "12", "--out", str(out)]) == 0
@@ -342,10 +354,13 @@ def test_help_lists_every_flag(sub, capsys):
     with pytest.raises(SystemExit) as exit_info:
         parse_args([sub, "--help"])
     assert exit_info.value.code == 0
-    listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+    out = capsys.readouterr().out
+    listed = set(re.findall(r"--[\w-]+", out))
     for key in cli._OPTIONS[sub]:
         if (sub, key) != cli._POSITIONAL:
             assert "--" + key.replace("_", "-") in listed
+    if sub == "expsum":
+        assert "{scan,profile,short}" in out
 
 
 @pytest.mark.parametrize("content, code", [(None, 3), (b"limit=\xff\n", USAGE_EXIT)])

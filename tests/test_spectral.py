@@ -3,6 +3,7 @@ import pytest
 
 from conftest import max_rel_error
 from ergolab import rng
+from ergolab.dynamics import CyclicShift, bilinear_average
 from ergolab.polynomials import IntPolynomial
 from ergolab.spectral import (
     DCoefficients,
@@ -11,7 +12,6 @@ from ergolab.spectral import (
     build_kernels,
     d_coefficients,
     dft,
-    direct_average,
     direct_average_all,
     idft,
     l2_norm_of_average,
@@ -161,7 +161,7 @@ def test_direct_average_matches_naive_loop(mobius_100k):
     f = PeriodicSignal.seeded_complex(j, 41)
     g = PeriodicSignal.seeded_complex(j, 42)
     for base in (0, 7, 15):
-        got = direct_average(mobius_100k, SQUARE, NEG_LINEAR, f, g, n, base)
+        got = bilinear_average(CyclicShift(j), f, g, SQUARE, NEG_LINEAR, mobius_100k, n, base)
         want = naive_bilinear_average(
             mobius_100k.values, SQUARE, NEG_LINEAR, f.values, g.values, j, n, base
         )
@@ -174,7 +174,7 @@ def test_direct_average_all_consistent_with_single(mobius_100k):
     g = PeriodicSignal.seeded_complex(j, 52)
     all_values = direct_average_all(mobius_100k, SQUARE, LINEAR, f, g, n)
     for base in (0, 9, 31):
-        single = direct_average(mobius_100k, SQUARE, LINEAR, f, g, n, base)
+        single = bilinear_average(CyclicShift(j), f, g, SQUARE, LINEAR, mobius_100k, n, base)
         assert abs(all_values.values[base] - single) < 1e-13
 
 
