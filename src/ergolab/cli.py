@@ -14,8 +14,10 @@ MAX_THREADS.  Worker count never changes output.
 
 Exit codes: 0 success, 2 invariant violation detected mid-run,
 3 I/O failure (including a missing or unreadable --config file),
-64 usage error (including a table past the sieve capacity, a non-finite
---rho and a report input that is not valid JSON).
+64 usage error (including a table past the sieve capacity, an
+expsum --grid-den above expsums.MAX_GRID_DENOMINATOR, a spectral-check
+--j above spectral.MAX_DENSE_PERIOD, a non-finite --rho and a report
+input that is not valid JSON).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, dynamics, maximal, rng, spectral
+from . import __version__, dynamics, expsums, maximal, rng, spectral
 from .expsums import RationalAngle, RationalGrid, grid_scan, max_over_grid, short_interval_sum
 from .polynomials import IntPolynomial, parse_poly
 from .spectral import TOLERANCES, PeriodicSignal
@@ -78,7 +80,8 @@ def _default_threads():
 class _Option:
     """One option: flag --some-key, config key some-key or some_key.
 
-    A callable default is evaluated at parse time.
+    A callable default is evaluated at parse time.  low and high bound
+    the converted value, inclusive.
     """
 
     default: object = None
@@ -86,6 +89,7 @@ class _Option:
     help: str | None = None
     choices: tuple = ()
     low: int | None = None
+    high: int | None = None
 
 
 # argparse form of the flags that do not take one string
@@ -95,7 +99,9 @@ _WEIGHT = _Option("mobius", choices=tuple(sorted(_WEIGHTS)))
 _SEED = _Option(0, int)
 _RHO = _Option(2.0, float)
 _OUT = _Option(help="output file path")
-_THREADS = _Option(_default_threads, int, "worker count (never changes output)", low=1)
+_THREADS = _Option(
+    _default_threads, int, "worker count (never changes output)", low=1, high=MAX_THREADS
+)
 
 _OPTIONS: dict[str, dict[str, _Option]] = {
     "sieve": {
@@ -110,7 +116,7 @@ _OPTIONS: dict[str, dict[str, _Option]] = {
         "weight": _WEIGHT,
         "poly": _Option("0,1", help='phase polynomial "c0,c1,..."'),
         "n_max": _Option(10000, int),
-        "grid_den": _Option(4096, int),
+        "grid_den": _Option(4096, int, high=expsums.MAX_GRID_DENOMINATOR),
         "n_list": _Option("1024,4096,16384", help="comma-separated lengths (profile mode)"),
         "start": _Option(10000, int, "window start (short mode)"),
         "span": _Option(1000, int, "window span (short mode)"),
@@ -135,7 +141,7 @@ _OPTIONS: dict[str, dict[str, _Option]] = {
         "threads": _THREADS,
     },
     "spectral-check": {
-        "j": _Option(256, int, low=1),
+        "j": _Option(256, int, low=1, high=spectral.MAX_DENSE_PERIOD),
         "n": _Option(1000, int, low=1),
         "poly_p": _Option("0,0,1"),
         "poly_q": _Option("0,1"),
@@ -253,6 +259,8 @@ def _checked(subcommand: str, key: str, value):
         raise UsageError(f"{name} must be one of {', '.join(option.choices)}")
     if option.low is not None:
         _at_least(key, value, option.low)
+    if option.high is not None and value > option.high:
+        raise UsageError(f"{name} must be at most {option.high}")
     return value
 
 
@@ -263,8 +271,6 @@ def _at_least(key: str, value, low: int) -> None:
 
 def _validate(config: dict) -> None:
     """The checks that span options or read a format."""
-    if config["threads"] > MAX_THREADS:
-        raise UsageError(f"--threads must be at most {MAX_THREADS}")
     if "rho" in config:
         if not math.isfinite(config["rho"]):
             raise UsageError("--rho must be finite")
@@ -448,12 +454,10 @@ def _cmd_average(config: dict) -> int:
     except ValueError as exc:
         raise UsageError(f"--rho/--limit: {exc}") from None
     table = run_sieve(_WEIGHTS[config["weight"]], config["limit"])
-    state_count = system.period if isinstance(system, dynamics.CyclicShift) else system.denominator
     starts = [0]
     if config["starts"] > 1:
-        starts.extend(
-            int(s) for s in rng.integers_mod(config["seed"], config["starts"] - 1, state_count)
-        )
+        count = dynamics.state_count(system)
+        starts.extend(int(s) for s in rng.integers_mod(config["seed"], config["starts"] - 1, count))
 
     def trace_rows(x):
         trace = dynamics.convergence_trace(

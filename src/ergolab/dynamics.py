@@ -83,9 +83,6 @@ class TrigPolynomial:
         if len(set(self.modes)) != len(self.modes):
             raise ValueError("modes must be distinct")
 
-    def sup_norm_bound(self) -> float:
-        return float(sum(abs(c) for c in self.coeffs))
-
     def at_points(self, numerators: np.ndarray, denominator: int) -> np.ndarray:
         """Values at the circle points numerators/denominator."""
         numerators = np.asarray(numerators, dtype=np.int64)
@@ -145,7 +142,7 @@ def windowed_orbit_signal(
     x = system.check_state(x)
     window = np.arange(-2 * n_bar, 2 * n_bar + 1, dtype=np.int64)
     samples = _orbit_values(
-        system, observable, eval_mod_range(poly, window, _state_count(system)), x
+        system, observable, eval_mod_range(poly, window, state_count(system)), x
     )
     values = np.zeros(period, dtype=np.complex128)
     values[window % period] = samples
@@ -172,7 +169,7 @@ def visits_every_state(system: RationalRotation, x: int = 0) -> bool:
     return bool(np.unique(orbit).size == q)
 
 
-def _state_count(system) -> int:
+def state_count(system) -> int:
     """Number of states; orbit positions depend on n only modulo it."""
     if isinstance(system, CyclicShift):
         return system.period
@@ -182,11 +179,11 @@ def _state_count(system) -> int:
 
 
 def _orbit_values(system, observable, residues: np.ndarray, x: int, power: int = 1):
-    """observable(T^{power * P} x) for each residue P mod _state_count(system).
+    """observable(T^{power * P} x) for each residue P mod state_count(system).
 
     A rotation by p/q has q states, so its orbits fold with period q.
     """
-    count = _state_count(system)
+    count = state_count(system)
     if power != 1:
         residues = (power % count) * residues % count
     if isinstance(system, CyclicShift):
@@ -201,7 +198,7 @@ def _orbit_values(system, observable, residues: np.ndarray, x: int, power: int =
 
 def _folded_terms(system, observables, polys, powers, x: int, n_end: int) -> np.ndarray:
     """prod_i f_i(T^{power_i * P_i(r)} x) for every class r of n <= n_end."""
-    count = _state_count(system)
+    count = state_count(system)
     prod = None
     for obs, poly, power in zip(observables, polys, powers):
         values = _orbit_values(system, obs, folding.residues(poly, count, n_end), x, power)
@@ -211,7 +208,7 @@ def _folded_terms(system, observables, polys, powers, x: int, n_end: int) -> np.
 
 def _folded_average(system, observables, polys, powers, table, n_max: int, x: int) -> complex:
     """(1/N) sum_{n<=N} nu(n) prod_i f_i(T^{power_i P_i(n)} x), one term per class."""
-    _, classes, masses = folding.class_masses(table, _state_count(system), [n_max])
+    _, classes, masses = folding.class_masses(table, state_count(system), [n_max])
     terms = _folded_terms(system, observables, polys, powers, x, n_max)
     return complex(np.dot(masses, terms[classes]) / n_max)
 
@@ -294,7 +291,7 @@ def convergence_trace(
     limit = min(table.limit, n_limit) if n_limit else table.limit
     ladder = LacunaryLadder.build(rho, limit)
     members = np.array(ladder.members, dtype=np.int64)
-    offsets, classes, masses = folding.class_masses(table, _state_count(system), members)
+    offsets, classes, masses = folding.class_masses(table, state_count(system), members)
     terms = _folded_terms(system, [f, g], [p_poly, q_poly], [1, 1], x, ladder.members[-1])
     prefix = np.concatenate([[0], np.cumsum(masses * terms[classes])])
     values = prefix[offsets[1:]] / members
@@ -332,7 +329,7 @@ def cauchy_schwarz_split(
     dg = PeriodicSignal(g.period, g.values - g_approx.values)
     lhs = abs(bilinear_average(system, df, dg, p_poly, q_poly, table, n_max, x))
     n_values = np.arange(1, n_max + 1, dtype=np.int64)
-    count = _state_count(system)
+    count = state_count(system)
     df_orbit = np.abs(_orbit_values(system, df, eval_mod_range(p_poly, n_values, count), x)) ** 2
     dg_orbit = np.abs(_orbit_values(system, dg, eval_mod_range(q_poly, n_values, count), x)) ** 2
     rhs = float(np.sqrt(df_orbit.mean()) * np.sqrt(dg_orbit.mean()))

@@ -6,8 +6,9 @@ floating point unless the reduction mod 2 pi is exact.  Every frequency
 is therefore carried as an exact fraction of the circle, theta =
 2 pi a / q: a float input is interpreted as the dyadic rational it
 already is (via float.as_integer_ratio on theta / 2 pi), and the phase
-residues (a * P(n)) mod q are computed in exact integer arithmetic.
-Only the final e^{2 pi i r / q} is floating point.
+residues (a * P(n)) mod q are computed in exact integer arithmetic by
+polynomials.eval_mod_range, whatever the size of q (a float theta has q
+up to 2^1074).  Only the final e^{2 pi i r / q} is floating point.
 
 Since P(n) mod q depends only on n mod q, the sums over n <= N fold onto
 the classes r = n mod q (ergolab.folding): nu enters through the exact
@@ -28,12 +29,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import folding
-from .polynomials import _VECTOR_MODULUS_MAX, IntPolynomial, eval_mod, eval_mod_range
+from .polynomials import IntPolynomial, eval_mod_range
 from .weights import WeightTable
 
 _TWO_PI = 2.0 * math.pi
-# Largest denominator for which a table of roots of unity is precomputed.
-_ROOT_TABLE_MAX = 1 << 16
+# Largest grid denominator the command line accepts: grid_scan allocates
+# a q-long histogram and FFT, and a scan writes one row per grid point.
+MAX_GRID_DENOMINATOR = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -54,10 +56,6 @@ class RationalAngle:
     def turns(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 
-    @property
-    def radians(self) -> float:
-        return _TWO_PI * self.numerator / self.denominator
-
     def conjugate(self) -> "RationalAngle":
         return RationalAngle(-self.numerator, self.denominator)
 
@@ -74,47 +72,24 @@ def _as_turns(theta) -> Fraction:
     return Fraction(*((theta / _TWO_PI) % 1.0).as_integer_ratio())
 
 
-def _phase_residues(poly: IntPolynomial, n_values: np.ndarray, turns: Fraction):
-    """Residues r with P(n) * turns == r / q (mod 1), exactly."""
+def _phases(poly: IntPolynomial, n_values: np.ndarray, turns: Fraction) -> np.ndarray:
+    """e^{2 pi i P(n) turns} with P(n) * turns reduced mod 1 exactly."""
     a, q = turns.numerator, turns.denominator
-    if q <= _VECTOR_MODULUS_MAX:
-        r = eval_mod_range(poly, n_values, q)
-        return (a % q) * r % q, q
-    residues = np.fromiter(
-        ((eval_mod(poly, int(n), q) * a) % q for n in n_values),
-        dtype=np.float64,
-        count=n_values.size,
-    )
-    return residues, q
+    residues = (a % q) * eval_mod_range(poly, n_values, q) % q
+    # int / int rounds once, also for Python integers past the float range
+    return np.exp(2j * np.pi * (residues / q).astype(np.float64))
 
 
-def _phases(residues: np.ndarray, q: int, use_root_table: bool) -> np.ndarray:
-    if use_root_table and q <= _ROOT_TABLE_MAX:
-        roots = np.exp(2j * np.pi * np.arange(q) / q)
-        return roots[np.asarray(residues, dtype=np.int64)]
-    return np.exp(2j * np.pi * (np.asarray(residues, dtype=np.float64) / q))
-
-
-def weighted_poly_sum(
-    table: WeightTable,
-    poly: IntPolynomial,
-    theta,
-    n_max: int,
-    use_root_table: bool = True,
-) -> complex:
+def weighted_poly_sum(table: WeightTable, poly: IntPolynomial, theta, n_max: int) -> complex:
     """(1/N) sum_{n<=N} nu(n) e^{i P(n) theta} with exact phase reduction.
 
     theta may be a RationalAngle, a Fraction of the circle, or a float in
-    [0, 2 pi).  With use_root_table the phase values come from one
-    precomputed table of q-th roots of unity (q <= 65536); otherwise each
-    phase is a direct complex exponential of the reduced residue.  The
-    two phase paths agree to about 1e-10 and are cross-checked in the
-    test suite.
+    [0, 2 pi).  P is evaluated exactly once per class n mod q, and each
+    class phase is one complex exponential of its reduced residue.
     """
     turns = _as_turns(theta)
     _, classes, masses = folding.class_masses(table, turns.denominator, [n_max])
-    residues, q = _phase_residues(poly, classes, turns)
-    phases = _phases(residues, q, use_root_table)
+    phases = _phases(poly, classes, turns)
     return complex(np.dot(masses, phases) / n_max)
 
 
@@ -127,9 +102,6 @@ class RationalGrid:
     def __post_init__(self):
         if self.denominator < 1:
             raise ValueError("grid denominator must be positive")
-
-    def angles(self) -> list[RationalAngle]:
-        return [RationalAngle(a, self.denominator) for a in range(self.denominator)]
 
 
 @dataclass(frozen=True)
@@ -264,8 +236,7 @@ def short_interval_sum(
     folding.check_length(table, start + span)
     turns = _as_turns(theta)
     n_values = np.arange(start, start + span + 1, dtype=np.int64)
-    residues, q = _phase_residues(_LINEAR, n_values, turns)
-    phases = _phases(residues, q, use_root_table=True)
+    phases = _phases(_LINEAR, n_values, turns)
     w = table.values[start : start + span + 1].astype(np.float64)
     value = complex(np.dot(w, phases) / span)
     return ShortIntervalSum(

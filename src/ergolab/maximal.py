@@ -126,6 +126,11 @@ def _check_pair(phi: PeriodicSignal, psi: PeriodicSignal) -> int:
     return phi.period
 
 
+def _band_peak(averages: np.ndarray) -> np.ndarray:
+    """max over the rows of |A_N - A_{N_k}|, the first row being A_{N_k}."""
+    return np.abs(averages - averages[0]).max(axis=0)
+
+
 def band_maximal(
     phi: PeriodicSignal,
     psi: PeriodicSignal,
@@ -143,11 +148,8 @@ def band_maximal(
     lo, hi = ladder.band(k)
     checkpoints = ladder.members_between(lo, hi)
     sums = folding.orbit_sums(table, p_poly, q_poly, phi.values, psi.values, checkpoints)
-    base = sums[0] / checkpoints[0]
-    peak = np.zeros(phi.period, dtype=np.float64)
-    for row, n_value in enumerate(checkpoints):
-        np.maximum(peak, np.abs(sums[row] / n_value - base), out=peak)
-    return PeriodicSignal(phi.period, peak.astype(np.complex128))
+    averages = sums / np.array(checkpoints, dtype=np.float64)[:, None]
+    return PeriodicSignal(phi.period, _band_peak(averages).astype(np.complex128))
 
 
 @dataclass(frozen=True)
@@ -181,7 +183,6 @@ def oscillation_sum(
     """
     if not 1 <= band_count <= ladder.band_count:
         raise ValueError(f"band_count {band_count} outside 1..{ladder.band_count}")
-    period = _check_pair(phi, psi)
     checkpoints = ladder.members_between(ladder.bands[0], ladder.bands[band_count])
     sums = folding.orbit_sums(table, p_poly, q_poly, phi.values, psi.values, checkpoints)
     averages = sums / np.array(checkpoints, dtype=np.float64)[:, None]
@@ -190,10 +191,7 @@ def oscillation_sum(
     norms = []
     for k in range(1, band_count + 1):
         lo, hi = ladder.band(k)
-        base = averages[positions[lo]]
-        peak = np.zeros(period, dtype=np.float64)
-        for n_value in ladder.members_between(lo, hi):
-            np.maximum(peak, np.abs(averages[positions[n_value]] - base), out=peak)
+        peak = _band_peak(averages[positions[lo] : positions[hi] + 1])
         norms.append(float(np.sqrt(np.mean(peak**2))))
 
     cumulative = np.cumsum(norms)

@@ -1,9 +1,12 @@
 """Exact integer polynomials with overflow-safe modular evaluation.
 
-Coefficients are stored constant term first.  Scalar evaluation uses
-Python integers, so eval_mod is exact for any modulus; the vectorized
-path reduces every Horner step and is restricted to moduli m with
-m*(m-1) < 2**63 so int64 intermediates cannot overflow.
+Coefficients are stored constant term first.  eval_mod_range runs one
+Horner loop, reduced mod m at every step, over a whole array of
+arguments.  It is exact for every modulus m >= 1: up to
+_VECTOR_MODULUS_MAX, where (m-1)**2 + (m-1) fits in int64, the loop runs
+on int64 elements; above it the same loop runs on Python integers in an
+object-dtype array.  eval_mod is the scalar reference it is tested
+against.
 """
 
 from __future__ import annotations
@@ -78,18 +81,16 @@ def eval_mod(poly: IntPolynomial, n: int, m: int) -> int:
 
 
 def eval_mod_range(poly: IntPolynomial, n_values: np.ndarray, m: int) -> np.ndarray:
-    """Vectorized P(n) mod m for an int64 array of arguments.
+    """P(n) mod m in [0, m) for an array of int64 arguments, exact for m >= 1.
 
-    Falls back to scalar evaluation when m is too large for exact int64
-    Horner steps.
+    The result is int64 for m <= _VECTOR_MODULUS_MAX and an object-dtype
+    array of Python integers above it.
     """
     if m < 1:
         raise ValueError("modulus must be at least 1")
     n_values = np.asarray(n_values, dtype=np.int64)
     if m > _VECTOR_MODULUS_MAX:
-        return np.fromiter(
-            (eval_mod(poly, int(n), m) for n in n_values), dtype=np.int64, count=n_values.size
-        )
+        n_values = n_values.astype(object)
     nr = n_values % m
     acc = np.zeros_like(nr)
     for c in reversed(poly.coeffs):

@@ -59,6 +59,10 @@ TOLERANCES = {
     "kernel_consistency_rtol": KERNEL_CONSISTENCY_RTOL,
 }
 
+# Largest period the command line accepts: d_coefficients builds dense
+# J x J arrays, about 2.6 GB of peak memory at J = 8192.
+MAX_DENSE_PERIOD = 8192
+
 
 @dataclass
 class PeriodicSignal:

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from ergolab import cli, maximal
+from ergolab import cli, expsums, maximal, spectral
 from ergolab.cli import USAGE_EXIT, UsageError, main, parse_args
 from ergolab.weights import sieve
 
@@ -414,3 +414,24 @@ def test_average_oversized_ladder_exits_64(monkeypatch, capsys):
     assert main(argv) == USAGE_EXIT
     err = capsys.readouterr().err
     assert "distinct members" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "sub, key, cap",
+    [
+        ("expsum", "grid-den", expsums.MAX_GRID_DENOMINATOR),
+        ("spectral-check", "j", spectral.MAX_DENSE_PERIOD),
+    ],
+)
+def test_memory_caps_exit_64_before_sieving(sub, key, cap, monkeypatch, tmp_path, capsys):
+    def no_sieve(kind, n):
+        raise AssertionError("sieved past a cap check")
+
+    monkeypatch.setattr(cli, "run_sieve", no_sieve)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={cap + 1}\n")
+    for argv in ([sub, f"--{key}", str(cap + 1)], [sub, "--config", str(cfg)]):
+        assert main(argv) == USAGE_EXIT
+        err = capsys.readouterr().err
+        assert err.startswith("ergolab: error:") and f"at most {cap}" in err
+    assert parse_args([sub, f"--{key}", str(cap)])[key.replace("-", "_")] == cap

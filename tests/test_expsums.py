@@ -54,22 +54,18 @@ def test_conjugate_symmetry(mobius_100k):
     assert abs(s_plus - s_minus.conjugate()) < 1e-13
 
 
-def test_root_table_and_direct_phase_paths_agree(mobius_100k):
-    # q <= 2^16 keeps the exponential argument small enough for the float
-    # path to track the exact root table.
-    for q in (3, 257, 1 << 16):
-        angle = RationalAngle(q // 3 + 1, q)
-        a = weighted_poly_sum(mobius_100k, SQUARE, angle, 100_000, use_root_table=True)
-        b = weighted_poly_sum(mobius_100k, SQUARE, angle, 100_000, use_root_table=False)
-        assert abs(abs(a) - abs(b)) < 1e-10
-        assert abs(a - b) < 1e-10
-
-
 def test_float_theta_uses_its_dyadic_value(mobius_100k):
     # 2 pi * 5/16 is exactly representable through the dyadic path.
     float_value = weighted_poly_sum(mobius_100k, SQUARE, 2 * math.pi * 5 / 16, 4096)
     exact_value = weighted_poly_sum(mobius_100k, SQUARE, RationalAngle(5, 16), 4096)
     assert abs(float_value - exact_value) < 1e-12
+
+
+def test_float_theta_with_denominator_past_the_float_range(mobius_100k):
+    # theta / 2 pi = 1e-300 / 2 pi is a dyadic rational with q = 2^1052
+    value = weighted_poly_sum(mobius_100k, SQUARE, 1e-300, 1000)
+    assert value.real == pytest.approx(partial_sum(mobius_100k, 1000) / 1000, abs=1e-15)
+    assert abs(value.imag) < 1e-290
 
 
 def test_rejects_bad_inputs(mobius_100k):
@@ -175,12 +171,14 @@ def test_short_interval_theta_zero_reduces_to_partial_sums(liouville_100k):
 def test_short_interval_against_direct_oracle(liouville_100k):
     n = 50_000
     m = math.ceil(n**0.7)
-    result = short_interval_sum(liouville_100k, RationalAngle(3, 7), n, m)
-    oracle = 0j
-    for k in range(n, n + m + 1):
-        oracle += int(liouville_100k.values[k]) * cmath.exp(2j * cmath.pi * 3 * k / 7)
-    assert abs(result.value - oracle / m) < 1e-12
-    assert result.meets_exponent_threshold  # m = ceil(n^0.7) >= n^(5/8)
+    # q = 4294967311 is past the int64 Horner limit
+    for a, q in ((3, 7), (123456789, 4294967311)):
+        result = short_interval_sum(liouville_100k, RationalAngle(a, q), n, m)
+        oracle = 0j
+        for k in range(n, n + m + 1):
+            oracle += int(liouville_100k.values[k]) * cmath.exp(2j * cmath.pi * (a * k % q) / q)
+        assert abs(result.value - oracle / m) < 1e-12
+        assert result.meets_exponent_threshold  # m = ceil(n^0.7) >= n^(5/8)
 
 
 def test_short_interval_exponent_flag():

@@ -99,8 +99,10 @@ def test_band_maximal_general_polynomials_match_bruteforce(mobius_100k):
     j = 16
     phi = PeriodicSignal.seeded_pm1(j, 81)
     psi = PeriodicSignal.seeded_pm1(j, 82)
-    ladder = LacunaryLadder.build(2.0, 1 << 7)
-    for band in (5, 6, 7):
+    doubling = LacunaryLadder.build(2.0, 1 << 7)
+    # bands holding several members: the peak is taken against the first
+    wide = LacunaryLadder(rho=2.0, limit=128, members=doubling.members, bands=(1, 16, 128))
+    for ladder, band in ((doubling, 5), (doubling, 6), (doubling, 7), (wide, 1), (wide, 2)):
         ours = band_maximal(phi, psi, SQUARE, LINEAR, mobius_100k, ladder, band)
         brute = brute_band_maximal(phi, psi, SQUARE, LINEAR, mobius_100k, ladder, band)
         assert np.array_equal(ours.values.real, brute)

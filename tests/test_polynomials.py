@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab import rng
 from ergolab.polynomials import (
+    MAX_DEGREE,
     IntPolynomial,
     eval_mod,
     eval_mod_range,
@@ -56,6 +59,33 @@ def test_eval_mod_range_fallback_for_huge_modulus():
     vec = eval_mod_range(poly, ns, m)
     assert vec[0] == poly(10**9) % m
     assert vec[1] == poly(10**9 + 1) % m
+
+
+# Largest modulus whose Horner steps fit in int64.
+INT64_HORNER_MAX = 3_037_000_499
+INT64 = st.integers(-(2**63), 2**63 - 1)
+moduli = st.one_of(
+    st.integers(1, 1000),
+    st.integers(INT64_HORNER_MAX - 1000, INT64_HORNER_MAX + 1000),
+    st.integers(2**63 - 1000, 2**63 + 1000),
+    st.just(2**80 + 1),
+)
+
+
+@st.composite
+def wide_polys(draw):
+    degree = draw(st.integers(1, MAX_DEGREE))
+    coeffs = draw(st.lists(INT64, min_size=degree, max_size=degree))
+    lead = draw(INT64.filter(bool))
+    return IntPolynomial((*coeffs, lead))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_polys(), st.lists(INT64, min_size=1, max_size=40), moduli)
+def test_eval_mod_range_is_exact_for_every_modulus(poly, ns, m):
+    vec = eval_mod_range(poly, np.array(ns, dtype=np.int64), m)
+    assert vec.dtype == (np.int64 if m <= INT64_HORNER_MAX else object)
+    assert [int(v) for v in vec] == [eval_mod(poly, n, m) for n in ns]
 
 
 def test_eval_mod_is_periodic_in_n():
