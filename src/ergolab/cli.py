@@ -14,10 +14,10 @@ MAX_THREADS.  Worker count never changes output.
 
 Exit codes: 0 success, 2 invariant violation detected mid-run,
 3 I/O failure (including a missing or unreadable --config file),
-64 usage error (including a table past the sieve capacity, an
-expsum --grid-den above expsums.MAX_GRID_DENOMINATOR, a spectral-check
---j above spectral.MAX_DENSE_PERIOD, a non-finite --rho and a report
-input that is not valid JSON).
+64 usage error (including a table past the sieve capacity, a value
+outside its option's low..high, an average cyclic:J period above
+dynamics.MAX_CYCLIC_PERIOD, a non-finite --rho and a report input that
+is not valid JSON).
 """
 
 from __future__ import annotations
@@ -43,9 +43,10 @@ from .weights import CapacityError, WeightKind, sieve as run_sieve
 
 USAGE_EXIT = 64
 
-# Most worker threads a run may ask for; fixed so a config exits the same
-# way on every machine.
+# Most worker threads and seeded starts a run may ask for; fixed so a
+# config exits the same way on every machine.
 MAX_THREADS = 64
+MAX_STARTS = 1024
 
 
 class UsageError(Exception):
@@ -135,7 +136,7 @@ _OPTIONS: dict[str, dict[str, _Option]] = {
         "weight": _WEIGHT,
         "rho": _RHO,
         "limit": _Option(65536, int, low=1),
-        "starts": _Option(1, int, "number of seeded start points"),
+        "starts": _Option(1, int, "number of seeded start points", low=1, high=MAX_STARTS),
         "seed": _SEED,
         "out": _OUT,
         "threads": _THREADS,
@@ -156,7 +157,7 @@ _OPTIONS: dict[str, dict[str, _Option]] = {
     },
     "maximal": {
         "mode": _Option("oscillation", choices=("band", "global", "weaktype", "oscillation")),
-        "j": _Option(1024, int, low=1),
+        "j": _Option(1024, int, low=1, high=dynamics.MAX_CYCLIC_PERIOD),
         "rho": _RHO,
         "bands": _Option(10, int, low=1),
         "n_max": _Option(0, int, "0: use the last band endpoint", low=0),
@@ -548,8 +549,9 @@ def _cmd_maximal(config: dict) -> int:
     except ValueError as exc:
         raise UsageError(f"--rho/--bands: {exc}") from None
     n_top = config["n_max"] or ladder.bands[-1]
-    table = run_sieve(_WEIGHTS[config["weight"]], max(n_top, ladder.bands[-1]))
     mode = config["mode"]
+    n_read = ladder.bands[-1] if mode in ("band", "oscillation") else n_top
+    table = run_sieve(_WEIGHTS[config["weight"]], n_read)
     if mode == "band":
         norms = []
         for k in range(1, ladder.band_count + 1):

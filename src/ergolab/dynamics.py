@@ -30,6 +30,7 @@ from .spectral import PeriodicSignal
 from .weights import WeightKind, WeightTable
 
 MAX_ROTATION_DENOMINATOR = 1 << 31
+MAX_CYCLIC_PERIOD = 1 << 20  # maximal at J = 2^22 peaked at about 800 MB
 MAX_TRIG_MODES = 64
 
 
@@ -40,8 +41,8 @@ class CyclicShift:
     period: int
 
     def __post_init__(self):
-        if self.period < 1:
-            raise ValueError("period must be at least 1")
+        if not 1 <= self.period <= MAX_CYCLIC_PERIOD:
+            raise ValueError("period outside [1, 2^20]")
 
     def check_state(self, x: int) -> int:
         if not 0 <= x < self.period:

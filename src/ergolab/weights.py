@@ -6,9 +6,9 @@ Values nu(n) live in {-1, 0, +1}:
     multiplicity; mobius(n) agrees with liouville(n) on squarefree n and
     vanishes when a squared prime divides n; both equal +1 at n = 1.
 
-Tables are sieved in one vectorized block and are immutable afterwards,
-so concurrent readers need no locking.  Partial sums are exact 64-bit
-integers.
+Tables are sieved in one block from the primes up to sqrt(limit) (see
+sieve) and are immutable afterwards, so concurrent readers need no
+locking.  Partial sums are exact 64-bit integers.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Hard cap on one-block sieve size; above this the table would not fit the
-#: memory budget this lab is designed for (values + Omega scratch + cumsum).
+#: Hard cap on one-block sieve size (1 B of values and 4 B of cofactor per n
+#: while sieving, 8 B of cumsum after); the uint32 cofactor needs it < 2**32.
 DEFAULT_LIMIT_CAP = 200_000_000
 
 
@@ -69,52 +69,41 @@ class WeightTable:
         return self._cumulative
 
 
-def _prime_mask(limit: int) -> np.ndarray:
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return mask
-
-
-def sieve(kind: WeightKind, limit: int, limit_cap: int = DEFAULT_LIMIT_CAP) -> WeightTable:
+def sieve(kind: WeightKind, limit: int) -> WeightTable:
     """Sieve mobius or liouville values for all n <= limit.
 
-    One vectorized pass: every prime power p**k <= limit contributes +1 to
-    Omega on its multiples, which gives liouville = (-1)**Omega; mobius is
-    the squarefree restriction.  Runs in O(limit log log limit) element
-    updates.
+    Python loops only up to sqrt(limit); p is prime when no smaller prime
+    divided its cofactor.  Each power p**k <= limit flips the sign of its
+    multiples and divides p out of their cofactor; for mobius, p**2 zeroes
+    its multiples instead.  An n <= limit has at most one prime factor
+    above sqrt(limit), present exactly when its cofactor ends above 1, and
+    a last flip counts it.  O(limit log log limit) element updates.
 
     Raises:
         ValueError: limit < 1.
-        CapacityError: limit above the configured cap.
+        CapacityError: limit above DEFAULT_LIMIT_CAP, before any allocation.
     """
     if limit < 1:
         raise ValueError("sieve limit must be at least 1")
-    if limit > limit_cap:
-        raise CapacityError(f"limit {limit} exceeds capacity cap {limit_cap}")
+    if limit > DEFAULT_LIMIT_CAP:
+        raise CapacityError(f"limit {limit} exceeds capacity cap {DEFAULT_LIMIT_CAP}")
 
-    prime = _prime_mask(limit) if limit >= 2 else np.zeros(limit + 1, dtype=bool)
-    primes = np.nonzero(prime)[0]
-
-    omega = np.zeros(limit + 1, dtype=np.uint8)
-    for p in primes:
-        omega[p::p] += 1
-    for p in primes[primes <= math.isqrt(limit)]:
-        pk = int(p) * int(p)
-        while pk <= limit:
-            omega[pk::pk] += 1
-            pk *= int(p)
-
-    values = np.where(omega & 1, -1, 1).astype(np.int8)
-    if kind is WeightKind.MOBIUS:
-        squarefree = np.ones(limit + 1, dtype=bool)
-        for p in primes[primes <= math.isqrt(limit)]:
-            sq = int(p) * int(p)
-            squarefree[sq::sq] = False
-        values[~squarefree] = 0
+    values = np.ones(limit + 1, dtype=np.int8)
     values[0] = 0
+    cofactor = np.arange(limit + 1, dtype=np.uint32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if cofactor[p] != p:
+            continue
+        pk = p
+        while pk <= limit:
+            multiples = values[pk::pk]
+            if kind is WeightKind.MOBIUS and pk == p * p:
+                multiples[:] = 0
+            else:
+                np.negative(multiples, out=multiples)
+            cofactor[pk::pk] //= p
+            pk *= p
+    np.negative(values, out=values, where=cofactor > 1)
     values.setflags(write=False)
     return WeightTable(kind=kind, limit=limit, values=values)
 

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from ergolab import cli, expsums, maximal, spectral
+from ergolab import cli, dynamics, expsums, maximal, spectral
 from ergolab.cli import USAGE_EXIT, UsageError, main, parse_args
 from ergolab.weights import sieve
 
@@ -264,6 +264,8 @@ def test_repeated_runs_byte_identical(tmp_path):
         ["maximal", "--mode", "global", "--n-max", "-5"],
         ["expsum", "scan", "--n-max", "0"],
         ["expsum", "scan", "--grid-den", "0"],
+        ["average", "--starts", "0"],
+        ["average", "--system", f"cyclic:{dynamics.MAX_CYCLIC_PERIOD + 1}"],
     ],
 )
 def test_out_of_range_orbit_inputs_exit_64(argv, capsys):
@@ -287,9 +289,15 @@ def test_oversized_ladder_exits_64(monkeypatch, capsys):
         (["expsum", "scan", "--n-max", "300", "--grid-den", "8"], 300),
         (["expsum", "profile", "--n-list", "100,700,400", "--grid-den", "8"], 700),
         (["expsum", "short", "--start", "50", "--span", "20", "--theta", "1/3"], 70),
+        # --bands 10 ends the ladder at 1024; band modes never read --n-max
+        (["maximal", "--mode", "oscillation", "--j", "8", "--n-max", "5000"], 1024),
+        (["maximal", "--mode", "band", "--j", "8", "--n-max", "5000"], 1024),
+        (["maximal", "--mode", "global", "--j", "8", "--n-max", "300"], 300),
+        (["maximal", "--mode", "weaktype", "--j", "8", "--n-max", "300"], 300),
+        (["maximal", "--mode", "global", "--j", "8"], 1024),
     ],
 )
-def test_expsum_sieves_once_to_what_the_mode_reads(argv, limit, monkeypatch, tmp_path):
+def test_sieves_once_to_what_the_mode_reads(argv, limit, monkeypatch, tmp_path):
     limits = []
 
     def counting_sieve(kind, n):
@@ -387,7 +395,7 @@ def test_report_on_malformed_json_exits_64(tmp_path, capsys):
         ["sieve", "--limit", "300000000"],
         ["average", "--limit", "300000000"],
         ["spectral-check", "--n", "300000000"],
-        ["maximal", "--n-max", "300000000"],
+        ["maximal", "--mode", "global", "--n-max", "300000000"],
         ["expsum", "scan", "--n-max", "300000000"],
         ["expsum", "profile", "--n-list", "10,300000000"],
         ["expsum", "short", "--start", "199999999", "--span", "2"],
@@ -421,6 +429,8 @@ def test_average_oversized_ladder_exits_64(monkeypatch, capsys):
     [
         ("expsum", "grid-den", expsums.MAX_GRID_DENOMINATOR),
         ("spectral-check", "j", spectral.MAX_DENSE_PERIOD),
+        ("maximal", "j", dynamics.MAX_CYCLIC_PERIOD),
+        ("average", "starts", cli.MAX_STARTS),
     ],
 )
 def test_memory_caps_exit_64_before_sieving(sub, key, cap, monkeypatch, tmp_path, capsys):

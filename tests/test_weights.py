@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab import rng
 from ergolab.weights import (
+    DEFAULT_LIMIT_CAP,
     CapacityError,
     WeightKind,
     WeightTable,
@@ -43,7 +46,7 @@ def test_sieve_rejects_bad_limits():
     with pytest.raises(ValueError):
         sieve(WeightKind.MOBIUS, 0)
     with pytest.raises(CapacityError):
-        sieve(WeightKind.MOBIUS, 10**6, limit_cap=10**5)
+        sieve(WeightKind.MOBIUS, DEFAULT_LIMIT_CAP + 1)
 
 
 def test_sieve_matches_trial_division_to_10k():
@@ -52,6 +55,31 @@ def test_sieve_matches_trial_division_to_10k():
     lio = sieve(WeightKind.LIOUVILLE, 10_000)
     assert np.array_equal(mob.values[1:], mob_oracle[1:])
     assert np.array_equal(lio.values[1:], lio_oracle[1:])
+
+
+PROPERTY_LIMIT = 200_000
+
+# p**k for primes p and k >= 2, up to PROPERTY_LIMIT: the loop bound
+# pk <= limit and the cofactor test change their answer at these limits.
+PRIME_POWERS = sorted(
+    p**k
+    for p in range(2, math.isqrt(PROPERTY_LIMIT) + 1)
+    if all(p % d for d in range(2, math.isqrt(p) + 1))
+    for k in range(2, PROPERTY_LIMIT.bit_length())
+    if p**k < PROPERTY_LIMIT
+)
+sieve_limits = st.one_of(
+    st.integers(1, 64),
+    st.builds(int.__add__, st.sampled_from(PRIME_POWERS), st.sampled_from((-1, 0, 1))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sieve_limits)
+def test_sieve_matches_trial_division_at_prime_power_edges(limit):
+    mob_oracle, lio_oracle = trial_division_tables(limit)
+    assert np.array_equal(sieve(WeightKind.MOBIUS, limit).values[1:], mob_oracle[1:])
+    assert np.array_equal(sieve(WeightKind.LIOUVILLE, limit).values[1:], lio_oracle[1:])
 
 
 def test_sieve_matches_scalar_oracle_spot_checks():
