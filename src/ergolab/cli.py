@@ -31,6 +31,7 @@ import sys
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,19 +310,22 @@ def _poly(config: dict, key: str) -> IntPolynomial:
 
 # ----------------------------------------------------------------- output --
 
-def _float_repr(value: float) -> str:
-    return repr(float(value))
+# Rows per CSV block: the writer holds one block's text, never the file's.
+_CSV_BLOCK_ROWS = 1 << 14
 
 
-def _write_text(path: str | None, text: str) -> None:
+@contextmanager
+def _output(path: str | None):
+    """stdout (left open) when path is None, else the file at path."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            yield handle
 
 
-def _json_report(config: dict, results: dict, status: str = "ok") -> str:
+def _write_report(config: dict, results: dict, status: str = "ok") -> None:
+    """The JSON report: configuration, tolerances, status and results."""
     payload = {
         "tool": "ergolab",
         "version": __version__,
@@ -331,13 +335,25 @@ def _json_report(config: dict, results: dict, status: str = "ok") -> str:
         "status": status,
         "results": results,
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    with _output(config["out"]) as out:
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _csv(rows, header: str) -> str:
-    lines = [header]
-    lines.extend(",".join(str(cell) for cell in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _write_csv(path: str | None, header: str, columns) -> None:
+    """The header, then one line per row of the equal-length columns (numpy
+    arrays, ranges or lists); a cell prints as str() of its Python value."""
+    line = ",".join(["{}"] * len(columns)) + "\n"
+    with _output(path) as out:
+        out.write(header + "\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            cells = [column[start : start + _CSV_BLOCK_ROWS] for column in columns]
+            cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in cells]
+            out.write("".join(map(line.format, *cells)))
+
+
+def _re_im_abs(values: np.ndarray) -> list[np.ndarray]:
+    # abs(complex) is hypot(re, im); numpy's complex abs can differ in the last digit
+    return [values.real, values.imag, np.hypot(values.real, values.imag)]
 
 
 # ------------------------------------------------------------ subcommands --
@@ -345,14 +361,10 @@ def _csv(rows, header: str) -> str:
 def _cmd_sieve(config: dict) -> int:
     """write sieved weight values as CSV"""
     table = run_sieve(_WEIGHTS[config["weight"]], config["limit"])
+    header, columns = "n,value", [range(1, table.limit + 1), table.values[1:]]
     if config["sums"]:
-        sums = table.cumulative()
-        rows = ((n, int(table.values[n]), int(sums[n])) for n in range(1, table.limit + 1))
-        text = _csv(rows, "n,value,partial_sum")
-    else:
-        rows = ((n, int(table.values[n])) for n in range(1, table.limit + 1))
-        text = _csv(rows, "n,value")
-    _write_text(config["out"], text)
+        header, columns = header + ",partial_sum", [*columns, table.cumulative()[1:]]
+    _write_csv(config["out"], header, columns)
     return 0
 
 
@@ -372,19 +384,13 @@ def _cmd_expsum(config: dict) -> int:
         grid = RationalGrid(config["grid_den"])
         values = grid_scan(table, poly, grid, config["n_max"])
         thetas = 2.0 * np.pi * np.arange(grid.denominator) / grid.denominator
-        rows = (
-            (_float_repr(t), _float_repr(v.real), _float_repr(v.imag), _float_repr(abs(v)))
-            for t, v in zip(thetas, values)
-        )
-        _write_text(config["out"], _csv(rows, "theta,re,im,abs"))
+        _write_csv(config["out"], "theta,re,im,abs", [thetas, *_re_im_abs(values)])
         return 0
     if mode == "profile":
         grid = RationalGrid(config["grid_den"])
-        rows = []
-        for n_max in lengths:
-            theta_star, value = max_over_grid(table, poly, grid, n_max)
-            rows.append((n_max, _float_repr(value), _float_repr(theta_star)))
-        _write_text(config["out"], _csv(rows, "n,max_abs,theta_star"))
+        peaks = [max_over_grid(table, poly, grid, n_max) for n_max in lengths]
+        theta_stars, maxima = np.array(peaks).T
+        _write_csv(config["out"], "n,max_abs,theta_star", [lengths, maxima, theta_stars])
         return 0
     numer, _, denom = config["theta"].partition("/")
     try:
@@ -400,7 +406,7 @@ def _cmd_expsum(config: dict) -> int:
         "span": result.span,
         "meets_exponent_threshold": result.meets_exponent_threshold,
     }
-    _write_text(config["out"], _json_report(config, results))
+    _write_report(config, results)
     return 0
 
 
@@ -450,8 +456,8 @@ def _cmd_average(config: dict) -> int:
     g = _parse_observable(config["g"], system)
     p_poly = _poly(config, "poly_p")
     q_poly = _poly(config, "poly_q")
-    try:  # each trace builds this ladder again; check it once, before the sieve
-        maximal.LacunaryLadder.build(config["rho"], config["limit"])
+    try:  # before the sieve; every start's trace reads this one ladder
+        ladder = maximal.LacunaryLadder.build(config["rho"], config["limit"])
     except ValueError as exc:
         raise UsageError(f"--rho/--limit: {exc}") from None
     table = run_sieve(_WEIGHTS[config["weight"]], config["limit"])
@@ -460,19 +466,13 @@ def _cmd_average(config: dict) -> int:
         count = dynamics.state_count(system)
         starts.extend(int(s) for s in rng.integers_mod(config["seed"], config["starts"] - 1, count))
 
-    def trace_rows(x):
-        trace = dynamics.convergence_trace(
-            system, f, g, p_poly, q_poly, table, config["rho"], x
-        )
-        return [
-            (x, n, _float_repr(v.real), _float_repr(v.imag), _float_repr(abs(v)))
-            for n, v in zip(trace.lengths, trace.values)
-        ]
+    def trace_values(x):
+        trace = dynamics.convergence_trace(system, f, g, p_poly, q_poly, table, ladder, x)
+        return np.array(trace.values, dtype=np.complex128)
 
-    rows = []
-    for block in _pooled_map(trace_rows, starts, config["threads"]):
-        rows.extend(block)
-    _write_text(config["out"], _csv(rows, "start,n,re,im,abs"))
+    values = np.concatenate(_pooled_map(trace_values, starts, config["threads"]))
+    columns = [np.repeat(starts, len(ladder.members)), np.tile(ladder.members, len(starts))]
+    _write_csv(config["out"], "start,n,re,im,abs", [*columns, *_re_im_abs(values)])
     return 0
 
 
@@ -533,7 +533,7 @@ def _cmd_spectral_check(config: dict) -> int:
         or results["roundtrip_error"] > TOLERANCES["roundtrip_rtol"]
     )
     status = "invariant_violation" if violated else "ok"
-    _write_text(config["out"], _json_report(config, results, status=status))
+    _write_report(config, results, status=status)
     return 2 if violated else 0
 
 
@@ -595,7 +595,7 @@ def _cmd_maximal(config: dict) -> int:
             "norm_product": report.norm_product,
             "ratio": report.ratio,
         }
-    _write_text(config["out"], _json_report(config, results))
+    _write_report(config, results)
     return 0
 
 
@@ -623,7 +623,7 @@ def _cmd_report(config: dict) -> int:
             entry["header"] = lines[0] if lines else ""
             entry["rows"] = max(len(lines) - 1, 0)
         entries.append(entry)
-    _write_text(config["out"], _json_report(config, {"inputs": entries}))
+    _write_report(config, {"inputs": entries})
     return 0
 
 

@@ -278,19 +278,17 @@ def convergence_trace(
     p_poly: IntPolynomial,
     q_poly: IntPolynomial,
     table: WeightTable,
-    rho: float,
+    ladder: LacunaryLadder,
     x: int,
-    n_limit: int | None = None,
 ) -> AverageTrace:
-    """A_N(x) for every ladder member N = floor(rho^m) up to the limit.
+    """A_N(x) for every member N of the ladder.
 
     One pass with running sums: the class masses of each stretch between
     consecutive members weight the per-class terms, and are accumulated,
-    never recomputed from scratch.
+    never recomputed from scratch.  A ladder past table.limit raises
+    ValueError.
     """
     x = system.check_state(x)
-    limit = min(table.limit, n_limit) if n_limit else table.limit
-    ladder = LacunaryLadder.build(rho, limit)
     members = np.array(ladder.members, dtype=np.int64)
     offsets, classes, masses = folding.class_masses(table, state_count(system), members)
     terms = _folded_terms(system, [f, g], [p_poly, q_poly], [1, 1], x, ladder.members[-1])
@@ -301,7 +299,7 @@ def convergence_trace(
         weight_kind=table.kind,
         p_spec=p_poly.spec_string(),
         q_spec=q_poly.spec_string(),
-        lengths=tuple(int(m) for m in members),
+        lengths=ladder.members,
         values=tuple(complex(v) for v in values),
     )
 

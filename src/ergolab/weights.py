@@ -64,7 +64,8 @@ class WeightTable:
     def cumulative(self) -> np.ndarray:
         """Exact running sums sum_{n<=N} nu(n) as int64, cached."""
         if self._cumulative is None:
-            self._cumulative = np.cumsum(self.values, dtype=np.int64)
+            self._cumulative = self.values.astype(np.int64)  # in place: no int64 cast copy
+            np.cumsum(self._cumulative, out=self._cumulative)
             self._cumulative.setflags(write=False)
         return self._cumulative
 

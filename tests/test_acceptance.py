@@ -298,6 +298,7 @@ def test_criterion_08_oscillation_statistic(mobius_2p20, liouville_1e6):
 def test_criterion_09_convergence_traces(mobius_2p20, liouville_1e6):
     tables = {WeightKind.MOBIUS: mobius_2p20, WeightKind.LIOUVILLE: liouville_1e6}
     worst_gap = math.inf
+    ladder = LacunaryLadder.build(2.0, 10**6)
     for j_index, period in enumerate((97, 128)):
         f = PeriodicSignal.seeded_pm1(period, rng.derive_seed(TRACE_SEED, 10 + j_index))
         g = PeriodicSignal.seeded_pm1(period, rng.derive_seed(TRACE_SEED, 20 + j_index))
@@ -305,8 +306,7 @@ def test_criterion_09_convergence_traces(mobius_2p20, liouville_1e6):
         for kind, table in tables.items():
             for x in starts:
                 trace = convergence_trace(
-                    CyclicShift(period), f, g, SQUARE, LINEAR, table,
-                    2.0, int(x), n_limit=10**6,
+                    CyclicShift(period), f, g, SQUARE, LINEAR, table, ladder, int(x)
                 )
                 _, first = trace.first_at_least(1 << 6)
                 final_n, final = trace.final

@@ -1,12 +1,16 @@
 import json
+import math
 import os
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from ergolab import cli, dynamics, expsums, maximal, spectral
+from ergolab import cli, dynamics, expsums, maximal, rng, spectral
 from ergolab.cli import USAGE_EXIT, UsageError, main, parse_args
-from ergolab.weights import sieve
+from ergolab.polynomials import IntPolynomial
+from ergolab.weights import WeightKind, sieve
 
 
 def test_parse_sieve_defaults_and_flags():
@@ -118,6 +122,112 @@ def test_expsum_profile_csv(tmp_path):
     assert values[0] > values[-1]
 
 
+# The writer's block size in the tests below: row counts B - 1, B, B + 1
+# and 2B + 1 cover a short block, one full block, and a block boundary.
+BLOCK = 7
+ROW_COUNTS = (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)
+
+
+def _per_cell_csv(header, rows):
+    """The reference text: str() of each cell, one row per line."""
+    return header + "\n" + "".join(",".join(str(cell) for cell in row) + "\n" for row in rows)
+
+
+def _complex_cells(value):
+    value = complex(value)
+    return repr(value.real), repr(value.imag), repr(abs(value))
+
+
+def _sieve_case(rows, sums):
+    table = sieve(WeightKind.LIOUVILLE, rows)
+    values = [int(v) for v in table.values]
+    argv = ["sieve", "--weight", "liouville", "--limit", str(rows)]
+    if not sums:
+        return argv, _per_cell_csv("n,value", [(n, values[n]) for n in range(1, rows + 1)])
+    cells = [(n, values[n], sum(values[1 : n + 1])) for n in range(1, rows + 1)]
+    return argv + ["--sums"], _per_cell_csv("n,value,partial_sum", cells)
+
+
+def _scan_case(rows):
+    table = sieve(WeightKind.MOBIUS, 500)
+    values = expsums.grid_scan(table, IntPolynomial((0, 0, 1)), expsums.RationalGrid(rows), 500)
+    cells = [
+        (repr(2.0 * math.pi * a / rows), *_complex_cells(v)) for a, v in enumerate(values)
+    ]
+    argv = ["expsum", "scan", "--poly", "0,0,1", "--n-max", "500", "--grid-den", str(rows)]
+    return argv, _per_cell_csv("theta,re,im,abs", cells)
+
+
+def _profile_case(rows):
+    lengths = [40 * (k + 1) for k in range(rows)]
+    table = sieve(WeightKind.MOBIUS, lengths[-1])
+    grid = expsums.RationalGrid(16)
+    cells = []
+    for n in lengths:
+        theta, value = expsums.max_over_grid(table, IntPolynomial((0, 0, 1)), grid, n)
+        cells.append((n, repr(value), repr(theta)))
+    argv = ["expsum", "profile", "--poly", "0,0,1", "--grid-den", "16",
+            "--n-list", ",".join(map(str, lengths))]
+    return argv, _per_cell_csv("n,max_abs,theta_star", cells)
+
+
+def _average_case(rows):
+    # rho = 2 ladders to 2^m hold m + 1 members; 15 rows are 3 starts of 5
+    starts, limit = (3, 16) if rows == 2 * BLOCK + 1 else (1, 1 << (rows - 1))
+    system = dynamics.CyclicShift(97)
+    f = spectral.PeriodicSignal.seeded_complex(97, 3)
+    g = spectral.PeriodicSignal.seeded_complex(97, 4)
+    table = sieve(WeightKind.MOBIUS, limit)
+    ladder = maximal.LacunaryLadder.build(2.0, limit)
+    cells = []
+    for x in [0, *rng.integers_mod(5, starts - 1, 97).tolist()]:
+        trace = dynamics.convergence_trace(
+            system, f, g, IntPolynomial((0, 0, 1)), IntPolynomial((0, 1)), table, ladder, x
+        )
+        cells.extend((x, n, *_complex_cells(v)) for n, v in zip(trace.lengths, trace.values))
+    assert len(cells) == rows
+    argv = ["average", "--system", "cyclic:97", "--f", "complex:3", "--g", "complex:4",
+            "--poly-p", "0,0,1", "--poly-q", "0,1", "--rho", "2", "--limit", str(limit),
+            "--starts", str(starts), "--seed", "5"]
+    return argv, _per_cell_csv("start,n,re,im,abs", cells)
+
+
+WRITER_CASES = {
+    "sieve": lambda rows: _sieve_case(rows, sums=False),
+    "sieve-sums": lambda rows: _sieve_case(rows, sums=True),
+    "scan": _scan_case,
+    "profile": _profile_case,
+    "average": _average_case,
+}
+
+
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_csv_blocks_match_the_per_cell_text(case, rows, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", BLOCK)
+    argv, expected = WRITER_CASES[case](rows)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode("utf-8")
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_csv_writer_memory_does_not_grow_with_rows(monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 1024)
+    peaks = []
+    for rows in (1 << 14, 1 << 16):
+        columns = [range(1, rows + 1), np.arange(rows) % 3 - 1, np.linspace(0.0, 1.0, rows)]
+        tracemalloc.start()
+        try:
+            cli._write_csv(str(tmp_path / "rows.csv"), "n,value,x", columns)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 def test_expsum_short_json(tmp_path):
     out = tmp_path / "short.json"
     code = main(
@@ -144,6 +254,19 @@ def test_average_csv(tmp_path):
     assert lines[0] == "start,n,re,im,abs"
     starts = {line.split(",")[0] for line in lines[1:]}
     assert len(starts) == 3 and "0" in starts
+
+
+def test_average_builds_its_ladder_once(monkeypatch, tmp_path):
+    build, calls = maximal.LacunaryLadder.build, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(maximal.LacunaryLadder, "build", counted)
+    argv = ["average", "--system", "cyclic:31", "--limit", "4096", "--starts", "3"]
+    assert main(argv + ["--out", str(tmp_path / "avg.csv")]) == 0
+    assert calls == [(2.0, 4096)]
 
 
 def test_average_rotation_system(tmp_path):

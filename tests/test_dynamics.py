@@ -16,6 +16,7 @@ from ergolab.dynamics import (
     visits_every_state,
     windowed_orbit_signal,
 )
+from ergolab.maximal import LacunaryLadder
 from ergolab.polynomials import IntPolynomial
 from ergolab.spectral import PeriodicSignal, d_coefficients, dft, spectral_average
 from ergolab.weights import WeightKind, constant_table, partial_sum, sieve, zero_table
@@ -159,7 +160,8 @@ def test_trace_zero_weights_all_zero():
     table = zero_table(4096)
     j = 16
     f = PeriodicSignal.seeded_pm1(j, 21)
-    trace = convergence_trace(CyclicShift(j), f, f, SQUARE, LINEAR, table, 2.0, 3)
+    ladder = LacunaryLadder.build(2.0, table.limit)
+    trace = convergence_trace(CyclicShift(j), f, f, SQUARE, LINEAR, table, ladder, 3)
     assert all(v == 0 for v in trace.values)
 
 
@@ -168,9 +170,8 @@ def test_trace_matches_from_scratch_recomputation(mobius_100k):
     f = PeriodicSignal.seeded_pm1(j, 31)
     g = PeriodicSignal.seeded_pm1(j, 32)
     system = CyclicShift(j)
-    trace = convergence_trace(
-        system, f, g, SQUARE, LINEAR, mobius_100k, 2.0, 10, n_limit=50_000
-    )
+    ladder = LacunaryLadder.build(2.0, 50_000)
+    trace = convergence_trace(system, f, g, SQUARE, LINEAR, mobius_100k, ladder, 10)
     for n_value, value in zip(trace.lengths, trace.values):
         scratch = bilinear_average(system, f, g, SQUARE, LINEAR, mobius_100k, n_value, 10)
         assert abs(value - scratch) < 1e-12
@@ -180,9 +181,8 @@ def test_trace_decays_on_cyclic_shift(mobius_1m):
     j = 97
     f = PeriodicSignal.seeded_pm1(j, 41)
     g = PeriodicSignal.seeded_pm1(j, 42)
-    trace = convergence_trace(
-        CyclicShift(j), f, g, SQUARE, LINEAR, mobius_1m, 2.0, 0, n_limit=10**6
-    )
+    ladder = LacunaryLadder.build(2.0, 10**6)
+    trace = convergence_trace(CyclicShift(j), f, g, SQUARE, LINEAR, mobius_1m, ladder, 0)
     assert abs(trace.values[-1]) < abs(trace.values[0])
     # |A_1| = |nu(1) f(x + P(1)) g(x + Q(1))| = 1 for pm1 observables.
     assert abs(trace.values[0]) == pytest.approx(1.0, abs=1e-15)
@@ -192,17 +192,18 @@ def test_trace_bounded_by_sup_norms(liouville_100k):
     j = 31
     f = PeriodicSignal.seeded_complex(j, 51)
     g = PeriodicSignal.seeded_complex(j, 52)
-    trace = convergence_trace(
-        CyclicShift(j), f, g, SQUARE, LINEAR, liouville_100k, 1.5, 7, n_limit=10_000
-    )
+    ladder = LacunaryLadder.build(1.5, 10_000)
+    trace = convergence_trace(CyclicShift(j), f, g, SQUARE, LINEAR, liouville_100k, ladder, 7)
     bound = f.norm(np.inf) * g.norm(np.inf)
     assert all(abs(v) <= bound + 1e-12 for v in trace.values)
 
 
-def test_trace_requires_rho_above_one(mobius_100k):
+def test_trace_rejects_a_ladder_past_the_table(mobius_100k):
     f = PeriodicSignal.constant(8)
-    with pytest.raises(ValueError):
-        convergence_trace(CyclicShift(8), f, f, SQUARE, LINEAR, mobius_100k, 1.0, 0)
+    ladder = LacunaryLadder.build(2.0, 2 * mobius_100k.limit)
+    assert ladder.members[-1] > mobius_100k.limit
+    with pytest.raises(ValueError, match="outside table range"):
+        convergence_trace(CyclicShift(8), f, f, SQUARE, LINEAR, mobius_100k, ladder, 0)
 
 
 def test_trace_first_at_least():

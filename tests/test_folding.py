@@ -22,6 +22,7 @@ from ergolab.dynamics import (
     convergence_trace,
 )
 from ergolab.expsums import RationalAngle, RationalGrid, grid_scan, weighted_poly_sum
+from ergolab.maximal import LacunaryLadder
 from ergolab.polynomials import MAX_DEGREE, IntPolynomial
 from ergolab.spectral import PeriodicSignal, build_kernels, direct_average_all
 from ergolab.weights import WeightKind, sieve
@@ -63,7 +64,8 @@ def test_complex_routes_match_oracle(period, n_max, table, p_poly, q_poly, seed,
     assert close(direct_average_all(table, p_poly, q_poly, f, g, n_max).values[j], ref)
     system = CyclicShift(period)
     assert close(bilinear_average(system, f, g, p_poly, q_poly, table, n_max, j), ref)
-    trace = convergence_trace(system, f, g, p_poly, q_poly, table, 2.0, j, n_limit=n_max)
+    ladder = LacunaryLadder.build(2.0, n_max)
+    trace = convergence_trace(system, f, g, p_poly, q_poly, table, ladder, j)
     last, value = trace.final
     ref_last = naive_bilinear_average(table.values, p_poly, q_poly, f.values, g.values, period, last, j)
     assert close(value, ref_last)
