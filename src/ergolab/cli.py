@@ -467,8 +467,7 @@ def _cmd_average(config: dict) -> int:
         starts.extend(int(s) for s in rng.integers_mod(config["seed"], config["starts"] - 1, count))
 
     def trace_values(x):
-        trace = dynamics.convergence_trace(system, f, g, p_poly, q_poly, table, ladder, x)
-        return np.array(trace.values, dtype=np.complex128)
+        return dynamics.convergence_trace(system, f, g, p_poly, q_poly, table, ladder, x).values
 
     values = np.concatenate(_pooled_map(trace_values, starts, config["threads"]))
     columns = [np.repeat(starts, len(ladder.members)), np.tile(ladder.members, len(starts))]
@@ -599,6 +598,20 @@ def _cmd_maximal(config: dict) -> int:
     return 0
 
 
+# The line boundaries of str.splitlines; "\r\n" is one boundary.
+_LINE_BREAKS = ("\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def _first_line_and_count(text: str) -> tuple[str, int]:
+    """(first line, line count) as text.splitlines() gives them, without
+    building the list of lines."""
+    count = sum(map(text.count, _LINE_BREAKS)) - text.count("\r\n")
+    if text and not text.endswith(_LINE_BREAKS):
+        count += 1
+    ends = [end for end in map(text.find, _LINE_BREAKS) if end >= 0]
+    return text[: min(ends, default=len(text))], count
+
+
 def _cmd_report(config: dict) -> int:
     """aggregate prior outputs into one JSON summary"""
     entries = []
@@ -619,9 +632,8 @@ def _cmd_report(config: dict) -> int:
                 raise UsageError(f"--inputs: {path} is not valid JSON: {exc}") from None
         else:
             entry["kind"] = "csv"
-            lines = text.splitlines()
-            entry["header"] = lines[0] if lines else ""
-            entry["rows"] = max(len(lines) - 1, 0)
+            entry["header"], lines = _first_line_and_count(text)
+            entry["rows"] = max(lines - 1, 0)
         entries.append(entry)
     _write_report(config, {"inputs": entries})
     return 0

@@ -249,7 +249,7 @@ def multilinear_average(
     return _folded_average(system, observables, polys, powers, table, n_max, x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # values is an array: compare by identity
 class AverageTrace:
     """A_N(x) sampled along the lacunary ladder."""
 
@@ -258,7 +258,7 @@ class AverageTrace:
     p_spec: str
     q_spec: str
     lengths: tuple[int, ...]
-    values: tuple[complex, ...]
+    values: np.ndarray  # read-only complex128, one per length
 
     def first_at_least(self, n_min: int) -> tuple[int, complex]:
         for n_value, value in zip(self.lengths, self.values):
@@ -294,13 +294,14 @@ def convergence_trace(
     terms = _folded_terms(system, [f, g], [p_poly, q_poly], [1, 1], x, ladder.members[-1])
     prefix = np.concatenate([[0], np.cumsum(masses * terms[classes])])
     values = prefix[offsets[1:]] / members
+    values.flags.writeable = False
     return AverageTrace(
         start=x,
         weight_kind=table.kind,
         p_spec=p_poly.spec_string(),
         q_spec=q_poly.spec_string(),
         lengths=ladder.members,
-        values=tuple(complex(v) for v in values),
+        values=values,
     )
 
 

@@ -137,12 +137,6 @@ class DCoefficients:
     length: int
     matrix: np.ndarray
 
-    def slice_by_total(self, s: int) -> np.ndarray:
-        """Vector over k of D[k][(s-k) mod J], the fixed-total-degree slice."""
-        j = self.period
-        k = np.arange(j)
-        return self.matrix[k, (s - k) % j]
-
 
 def d_coefficients(
     table: WeightTable,
@@ -280,15 +274,6 @@ def spectral_average_all(
     return idft(Spectrum(coeffs.period, total))
 
 
-def spectral_average(
-    f_spec: Spectrum, g_spec: Spectrum, coeffs: DCoefficients, j: int
-) -> complex:
-    total = _total_degree_spectrum(f_spec, g_spec, coeffs)
-    period = coeffs.period
-    chars = np.exp(2j * np.pi * (j % period) * np.arange(period) / period)
-    return complex(np.sum(total * chars))
-
-
 def direct_average_all(
     table: WeightTable,
     p_poly: IntPolynomial,
@@ -338,25 +323,13 @@ def l4_bound_report(
 
     Emits the measured ratio per N so its decay can be inspected; no hard
     bound is asserted because the comparison constant is not effective.
-    The class masses come from one segmented pass over the N list; the
-    matrix at each N is the transform of the lifted kernel pair built
-    from the segments up to that N.
+    One folding.orbit_sums pass over the N list gives the running sums S_N
+    at every base point, and ||A_N||_2 = sqrt(mean |S_N / N|^2).
     """
-    if f.period != g.period:
-        raise ValueError("signal periods differ")
-    period = f.period
-    offsets, classes, masses = folding.class_masses(table, period, n_list)
-    f_spec, g_spec = dft(f), dft(g)
+    sums = folding.orbit_sums(table, p_poly, q_poly, f.values, g.values, n_list)
     norm4 = f.norm(4) * g.norm(4)
-
     rows = []
-    a = folding.residues(p_poly, period, n_list[-1])[classes]
-    b = folding.residues(q_poly, period, n_list[-1])[classes]
-    for k, n_max in enumerate(n_list):
-        end = offsets[k + 1]
-        kernel = OffDiagonalKernel(period, a[:end], b[:end], masses[:end] / n_max)
-        coeffs = DCoefficients(period=period, length=n_max, matrix=kernel.transform())
-        l2 = float(np.sqrt(l2_norm_of_average(f_spec, g_spec, coeffs)))
-        ratio = l2 / norm4 if norm4 > 0 else 0.0
-        rows.append(L4BoundRow(n_max, l2, norm4, ratio))
+    for n_max, running in zip(n_list, sums):
+        l2 = float(np.sqrt(np.mean(np.abs(running / n_max) ** 2)))
+        rows.append(L4BoundRow(n_max, l2, norm4, l2 / norm4 if norm4 > 0 else 0.0))
     return rows

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab import cli, dynamics, expsums, maximal, rng, spectral
 from ergolab.cli import USAGE_EXIT, UsageError, main, parse_args
@@ -361,6 +363,54 @@ def test_report_aggregation(tmp_path):
     assert csv_entry["rows"] == 20
     json_entry = next(e for e in payload["results"]["inputs"] if e["kind"] == "json")
     assert json_entry["content"]["tool"] == "ergolab"
+
+
+LINE_EDGE_CASES = [
+    b"",
+    b"n,value",
+    b"n,value\n1,1\n2,-1",
+    b"n,value\r\n1,1\r\n",
+    b"a\rb\r",
+    b"x\r\r\n",
+    b"\n\n",
+    b"a\vb\fc",
+    b"a\x1cb\x1dc\x1ed\n",
+    "a\x85b\u2028c\u2029d".encode(),
+    b"n,\xff\xfe\n1,\x80\n",
+    b"n\xc2\n1\xe2\x80\n",
+]
+
+
+@pytest.mark.parametrize("blob", LINE_EDGE_CASES, ids=repr)
+def test_report_csv_lines_match_splitlines(tmp_path, blob):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(blob)
+    out = tmp_path / "summary.json"
+    assert main(["report", "--inputs", str(path), "--out", str(out)]) == 0
+    (entry,) = json.loads(out.read_text())["results"]["inputs"]
+    lines = blob.decode("utf-8", errors="replace").splitlines()
+    assert entry["header"] == (lines[0] if lines else "")
+    assert entry["rows"] == max(len(lines) - 1, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="ab\r\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+def test_line_count_matches_splitlines(text):
+    lines = text.splitlines()
+    assert cli._first_line_and_count(text) == (lines[0] if lines else "", len(lines))
+
+
+def test_report_memory_stays_near_input_size(tmp_path):
+    # The input is read whole and decoded once; no list of its lines is built.
+    csv_path = tmp_path / "sums.csv"
+    assert main(["sieve", "--limit", "100000", "--sums", "--out", str(csv_path)]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["report", "--inputs", str(csv_path), "--out", str(tmp_path / "s.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * csv_path.stat().st_size, (peak, csv_path.stat().st_size)
 
 
 def test_repeated_runs_byte_identical(tmp_path):

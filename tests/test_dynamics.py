@@ -18,7 +18,7 @@ from ergolab.dynamics import (
 )
 from ergolab.maximal import LacunaryLadder
 from ergolab.polynomials import IntPolynomial
-from ergolab.spectral import PeriodicSignal, d_coefficients, dft, spectral_average
+from ergolab.spectral import PeriodicSignal, d_coefficients, dft, spectral_average_all
 from ergolab.weights import WeightKind, constant_table, partial_sum, sieve, zero_table
 from oracles import naive_bilinear_average
 
@@ -63,7 +63,7 @@ def test_cyclic_average_matches_spectral_oracle(mobius_100k):
     coeffs = d_coefficients(mobius_100k, SQUARE, LINEAR, 10_000, j)
     x = 41
     ours = bilinear_average(CyclicShift(j), f, g, SQUARE, LINEAR, mobius_100k, 10_000, x)
-    oracle = spectral_average(dft(f), dft(g), coeffs, x)
+    oracle = spectral_average_all(dft(f), dft(g), coeffs).values[x]
     assert abs(ours - oracle) < 1e-9
 
 
@@ -204,6 +204,16 @@ def test_trace_rejects_a_ladder_past_the_table(mobius_100k):
     assert ladder.members[-1] > mobius_100k.limit
     with pytest.raises(ValueError, match="outside table range"):
         convergence_trace(CyclicShift(8), f, f, SQUARE, LINEAR, mobius_100k, ladder, 0)
+
+
+def test_trace_values_are_a_read_only_complex_array(mobius_100k):
+    f = PeriodicSignal.seeded_pm1(16, 61)
+    ladder = LacunaryLadder.build(2.0, 4096)
+    trace = convergence_trace(CyclicShift(16), f, f, SQUARE, LINEAR, mobius_100k, ladder, 5)
+    assert trace.values.dtype == np.complex128
+    assert trace.values.shape == (len(trace.lengths),)
+    with pytest.raises(ValueError):
+        trace.values[0] = 0
 
 
 def test_trace_first_at_least():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import polys
 from ergolab import folding
 from ergolab.dynamics import (
     CyclicShift,
@@ -23,7 +24,7 @@ from ergolab.dynamics import (
 )
 from ergolab.expsums import RationalAngle, RationalGrid, grid_scan, weighted_poly_sum
 from ergolab.maximal import LacunaryLadder
-from ergolab.polynomials import MAX_DEGREE, IntPolynomial
+from ergolab.polynomials import IntPolynomial
 from ergolab.spectral import PeriodicSignal, build_kernels, direct_average_all
 from ergolab.weights import WeightKind, sieve
 from oracles import naive_bilinear_average, naive_weighted_poly_sum
@@ -40,14 +41,6 @@ sum_denominators = st.one_of(denominators, st.sampled_from([4294967311, 2**63 + 
 lengths = st.integers(1, N_CAP)
 tables = st.sampled_from(sorted(TABLES, key=lambda kind: kind.value)).map(TABLES.get)
 seeds = st.integers(0, 2**32 - 1)
-
-
-@st.composite
-def polys(draw):
-    degree = draw(st.integers(1, MAX_DEGREE))
-    coeffs = draw(st.lists(st.integers(-50, 50), min_size=degree, max_size=degree))
-    lead = draw(st.integers(-50, 50).filter(bool))
-    return IntPolynomial((*coeffs, lead))
 
 
 def close(actual, reference):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import max_rel_error
+from conftest import max_rel_error, polys
 from ergolab import rng
 from ergolab.dynamics import CyclicShift, bilinear_average
 from ergolab.polynomials import IntPolynomial
 from ergolab.spectral import (
+    SQUARE_IDENTITY_RTOL,
     DCoefficients,
     PeriodicSignal,
     Spectrum,
@@ -17,7 +20,6 @@ from ergolab.spectral import (
     l2_norm_of_average,
     l4_bound_report,
     off_diagonal,
-    spectral_average,
     spectral_average_all,
 )
 from ergolab.weights import WeightKind, partial_sum, sieve, zero_table
@@ -112,9 +114,10 @@ def test_kernel_transform_reproduces_coefficient_slices(mobius_100k):
     coeffs = d_coefficients(mobius_100k, SQUARE, LINEAR, 500, j)
     _, _, l_kernel = build_kernels(mobius_100k, SQUARE, LINEAR, 500, j)
     transformed = l_kernel.transform()
+    k = np.arange(j)
     worst = 0.0
     for s in range(j):
-        worst = max(worst, np.max(np.abs(transformed[:, s] - coeffs.slice_by_total(s))))
+        worst = max(worst, np.max(np.abs(transformed[:, s] - coeffs.matrix[k, (s - k) % j])))
     assert worst < 1e-12
 
 
@@ -178,16 +181,6 @@ def test_direct_average_all_consistent_with_single(mobius_100k):
         assert abs(all_values.values[base] - single) < 1e-13
 
 
-def test_spectral_average_single_point(mobius_100k):
-    j, n = 64, 800
-    f = PeriodicSignal.seeded_complex(j, 61)
-    g = PeriodicSignal.seeded_complex(j, 62)
-    coeffs = d_coefficients(mobius_100k, SQUARE, LINEAR, n, j)
-    a_all = spectral_average_all(dft(f), dft(g), coeffs)
-    value = spectral_average(dft(f), dft(g), coeffs, 13)
-    assert abs(a_all.values[13] - value) < 1e-12
-
-
 def test_period_mismatch_raises(mobius_100k):
     f = PeriodicSignal.constant(8)
     g = PeriodicSignal.constant(16)
@@ -230,13 +223,30 @@ def test_l4_report_zero_weights():
     assert all(r.ratio == 0.0 for r in rows)
 
 
-def test_l4_report_delta_signals_dual_path(mobius_100k):
-    j, n = 64, 2048
-    delta = PeriodicSignal.delta(j)
-    rows = l4_bound_report(delta, delta, mobius_100k, LINEAR, NEG_LINEAR, [n])
-    direct = direct_average_all(mobius_100k, LINEAR, NEG_LINEAR, delta, delta, n)
-    direct_l2 = float(np.sqrt(np.mean(np.abs(direct.values) ** 2)))
-    assert rows[0].l2_norm == pytest.approx(direct_l2, abs=1e-12)
+L4_TABLES = {kind: sieve(kind, 4096) for kind in WeightKind}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 64),
+    st.sets(st.integers(1, 4096), min_size=1, max_size=5).map(sorted),
+    st.sampled_from(list(WeightKind)),
+    polys(max_degree=3),
+    polys(max_degree=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_l4_report_matches_spectral_l2_identity(period, n_list, kind, p_poly, q_poly, seed):
+    # The report reads the direct orbit sums; the D[k][l] route is independent.
+    table = L4_TABLES[kind]
+    f = PeriodicSignal.seeded_complex(period, seed)
+    g = PeriodicSignal.seeded_complex(period, seed + 1)
+    rows = l4_bound_report(f, g, table, p_poly, q_poly, n_list)
+    assert [row.length for row in rows] == n_list
+    f_spec, g_spec = dft(f), dft(g)
+    for row in rows:
+        coeffs = d_coefficients(table, p_poly, q_poly, row.length, period)
+        value = l2_norm_of_average(f_spec, g_spec, coeffs)
+        assert abs(row.l2_norm**2 - value) <= SQUARE_IDENTITY_RTOL * max(1.0, value)
 
 
 def test_l4_report_ratio_falls(mobius_1m):
