@@ -15,9 +15,10 @@ MAX_THREADS.  Worker count never changes output.
 Exit codes: 0 success, 2 invariant violation detected mid-run,
 3 I/O failure (including a missing or unreadable --config file),
 64 usage error (including a table past the sieve capacity, a value
-outside its option's low..high, an average cyclic:J period above
-dynamics.MAX_CYCLIC_PERIOD, a non-finite --rho and a report input that
-is not valid JSON).
+outside its option's low..high such as a spectral-check --j above
+spectral.MAX_CHECK_PERIOD or --trials above MAX_TRIALS, an average
+cyclic:J period above dynamics.MAX_CYCLIC_PERIOD, a non-finite --rho and
+a report input that is not valid JSON).
 """
 
 from __future__ import annotations
@@ -44,10 +45,11 @@ from .weights import CapacityError, WeightKind, sieve as run_sieve
 
 USAGE_EXIT = 64
 
-# Most worker threads and seeded starts a run may ask for; fixed so a
-# config exits the same way on every machine.
+# Most worker threads, seeded starts and spectral-check trials a run may
+# ask for; fixed so a config exits the same way on every machine.
 MAX_THREADS = 64
 MAX_STARTS = 1024
+MAX_TRIALS = 1024
 
 
 class UsageError(Exception):
@@ -143,13 +145,13 @@ _OPTIONS: dict[str, dict[str, _Option]] = {
         "threads": _THREADS,
     },
     "spectral-check": {
-        "j": _Option(256, int, low=1, high=spectral.MAX_DENSE_PERIOD),
+        "j": _Option(256, int, low=1, high=spectral.MAX_CHECK_PERIOD),
         "n": _Option(1000, int, low=1),
         "poly_p": _Option("0,0,1"),
         "poly_q": _Option("0,1"),
         "weight": _WEIGHT,
         "seed": _SEED,
-        "trials": _Option(3, int, low=1),
+        "trials": _Option(3, int, low=1, high=MAX_TRIALS),
         "inject_fault": _Option(
             False, _to_bool, "corrupt one coefficient (test fixture; forces exit 2)"
         ),
@@ -489,9 +491,7 @@ def _cmd_spectral_check(config: dict) -> int:
     p_poly = _poly(config, "poly_p")
     q_poly = _poly(config, "poly_q")
     table = run_sieve(_WEIGHTS[config["weight"]], n_max)
-    coeffs = spectral.d_coefficients(table, p_poly, q_poly, n_max, period)
-    if config["inject_fault"]:
-        coeffs.matrix[1 % period, 1 % period] += 1e-3
+    _, _, l_kernel = spectral.build_kernels(table, p_poly, q_poly, n_max, period)
 
     def one_trial(index: int) -> dict:
         f = PeriodicSignal.seeded_complex(period, rng.derive_seed(config["seed"], 2 * index))
@@ -502,11 +502,15 @@ def _cmd_spectral_check(config: dict) -> int:
         parseval = abs(
             float(np.mean(np.abs(f.values) ** 2)) - float(np.sum(np.abs(f_spec.coeffs) ** 2))
         )
-        a_spec = spectral.spectral_average_all(f_spec, g_spec, coeffs)
+        total = l_kernel.total_degree(f.values, g.values)
+        if config["inject_fault"]:  # what adding 1e-3 to D[1][1] adds to c
+            i = 1 % period
+            total[2 * i % period] += 1e-3 * f_spec.coeffs[i] * g_spec.coeffs[i]
+        a_spec = spectral.idft(spectral.Spectrum(period, total))
         a_dir = spectral.direct_average_all(table, p_poly, q_poly, f, g, n_max)
         scale = max(1.0, float(np.max(np.abs(a_dir.values))))
         conv = float(np.max(np.abs(a_spec.values - a_dir.values))) / scale
-        sq_spec = spectral.l2_norm_of_average(f_spec, g_spec, coeffs)
+        sq_spec = float(np.sum(np.abs(total) ** 2))
         sq_dir = float(np.mean(np.abs(a_dir.values) ** 2))
         square = abs(sq_spec - sq_dir) / max(1.0, sq_dir)
         return {

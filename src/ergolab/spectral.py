@@ -20,14 +20,22 @@ route through the coefficients
 
     D[N][k][l] = (1/N) sum_{n<=N} nu(n) e^{2 pi i (k P(n) + l Q(n)) / J},
 
-via A_N(j) = sum_{k,l} F(f)(k) F(g)(l) D[N][k][l] e^{2 pi i (k+l) j / J}.
-D is the 2-d transform of the lifted kernel pair: one particle per class
-r = n mod J with mass m_r / N at (P(r), Q(r)), where m_r are the class
-masses of ergolab.folding.  The direct route is folding.orbit_sums.  Both
-routes start from those class masses, which the test suite checks against
-plain per-n loops; past that they are independent code paths and the
-test suite holds them together at tight tolerances; any disagreement is
-a bug, not a feature.
+via A_N(j) = sum_s c[s] e^{2 pi i s j / J}, where the total-degree spectrum
+is c[s] = sum_k F(f)(k) F(g)(s-k) D[N][k][s-k].  Three routes compute A_N:
+
+- the direct route, folding.orbit_sums;
+- the explicit D: d_coefficients builds the J x J matrix, the 2-d
+  transform of one particle per class r = n mod J with mass m_r / N at
+  (P(r), Q(r)), where m_r are the class masses of ergolab.folding, and
+  spectral_average_all contracts it;
+- the blocked c: OffDiagonalKernel.total_degree reads the same particles,
+  moved to (P(r) - Q(r), Q(r)) by build_kernels, row by row and never
+  builds D; spectral-check takes this route.
+
+All three start from those class masses, which the test suite checks
+against plain per-n loops; past that they are independent code paths and
+the test suite holds them together at tight tolerances; any disagreement
+is a bug, not a feature.
 
 lp norms on Z/JZ use the normalized counting measure:
 ||f||_p = ((1/J) sum |f(j)|^p)^(1/p).
@@ -59,9 +67,11 @@ TOLERANCES = {
     "kernel_consistency_rtol": KERNEL_CONSISTENCY_RTOL,
 }
 
-# Largest period the command line accepts: d_coefficients builds dense
-# J x J arrays, about 2.6 GB of peak memory at J = 8192.
-MAX_DENSE_PERIOD = 8192
+# Largest spectral-check period.  It bounds time, not memory: a trial costs
+# O(J^2 log J) in the blocked total-degree route and O(J min(J, N)) in the
+# direct route, in a few MB of work arrays; at N = 1e5 that is about 6 s at
+# J = 16384 and 23 s at J = 32768 (2-core machine, numpy 2.4).
+MAX_CHECK_PERIOD = 16384
 
 
 @dataclass
@@ -198,10 +208,63 @@ class OffDiagonalKernel:
         return flat.reshape(self.period, self.period)
 
     def transform(self) -> np.ndarray:
-        """(k, s) -> sum_i mass_i e^{2 pi i (k u_i + s v_i) / J}."""
-        out = np.fft.ifft2(self.dense())
-        out *= self.period * self.period
+        """(k, s) -> sum_i mass_i e^{2 pi i (k u_i + s v_i) / J}.
+
+        The masses are real, so entry (k, s) is the conjugate of the
+        forward transform at (k, s) and equals it at (-k, -s): rfft2 gives
+        the columns s < J//2 + 1, and the rest are its columns and rows
+        read backwards.
+        """
+        j = self.period
+        half = np.fft.rfft2(self.dense())
+        h = j // 2 + 1
+        m = j - h
+        out = np.empty((j, j), dtype=np.complex128)
+        np.conjugate(half, out=out[:, :h])
+        out[0, h:] = half[0, m:0:-1]
+        out[1:, h:] = half[:0:-1, m:0:-1]
         return out
+
+    def total_degree(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """c[s] = sum_k F(f)(k) F(g)(s-k) transform()[k, s], without the
+        J x J transform.
+
+        f and g are the J values of two J-periodic signals.  Grouped by
+        row u, the particles give c = sum_u fft(f(. + u) g) * ifft(M_u),
+        where M_u holds the masses of row u at their columns: the J factors
+        of the two transforms cancel.  M_u is real, so J ifft(M_u) is the
+        conjugate of its real-input transform on columns s < J//2 + 1 and
+        that transform at column J - s above.  Rows go in blocks of about
+        folding._BLOCK_ELEMENTS elements, each one gather, one fft, one
+        bincount and one rfft, so memory is O(block * J).
+        """
+        j = self.period
+        if f.shape != (j,) or g.shape != (j,):
+            raise ValueError("signals must have the kernel's period")
+        order = np.argsort(self.rows, kind="stable")
+        rows, cols, masses = self.rows[order], self.cols[order], self.masses[order]
+        u, starts = np.unique(rows, return_index=True)
+        bounds = np.append(starts, rows.size)
+        f_windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([f, f]), j)
+        block = max(1, folding._BLOCK_ELEMENTS // j)
+        h = j // 2 + 1
+        m = j - h
+        total = np.zeros(j, dtype=np.complex128)
+        for first in range(0, u.size, block):
+            last = min(first + block, u.size)
+            x = f_windows[u[first:last]]
+            x *= g
+            x = np.fft.fft(x, axis=1)
+            lo, hi = bounds[first], bounds[last]
+            slot = np.repeat(np.arange(last - first), np.diff(bounds[first : last + 1]))
+            grid = np.bincount(
+                slot * j + cols[lo:hi], weights=masses[lo:hi], minlength=(last - first) * j
+            )
+            half = np.fft.rfft(grid.reshape(-1, j), axis=1)
+            x[:, h:] *= half[:, m:0:-1]
+            x[:, :h] *= half.conj()
+            total += x.sum(axis=0)
+        return total / j
 
 
 def off_diagonal(
@@ -239,7 +302,8 @@ def build_kernels(
     at P(r) in K_P, at Q(r) in K_Q and at (P(r)-Q(r), Q(r)) in L.
 
     The 2-d transform of L reproduces the D matrix along fixed-total
-    slices: transform(L)[k, s] == D[k][(s-k) mod J].
+    slices: transform(L)[k, s] == D[k][(s-k) mod J], and L.total_degree
+    gives the total-degree spectrum c without either.
     """
     _, classes, masses = folding.class_masses(table, period, [n_max])
     w = masses / n_max

@@ -311,6 +311,42 @@ def test_spectral_check_injected_fault_exits_2(tmp_path):
     assert payload["results"]["max_conv_error"] > payload["tolerances"]["conv_rtol"]
 
 
+def test_spectral_check_takes_the_blocked_route_once_per_trial(monkeypatch, tmp_path):
+    def dense(*args):
+        raise AssertionError("built a J x J array")
+
+    for owner, name in (
+        (spectral, "d_coefficients"),
+        (spectral, "_total_degree_spectrum"),
+        (spectral.OffDiagonalKernel, "transform"),
+    ):
+        monkeypatch.setattr(owner, name, dense)
+    calls = []
+    blocked = spectral.OffDiagonalKernel.total_degree
+
+    def counted(kernel, f, g):
+        calls.append(kernel.period)
+        return blocked(kernel, f, g)
+
+    monkeypatch.setattr(spectral.OffDiagonalKernel, "total_degree", counted)
+    argv = ["spectral-check", "--j", "48", "--n", "700", "--trials", "3"]
+    assert main(argv + ["--out", str(tmp_path / "check.json")]) == 0
+    assert calls == [48, 48, 48]
+
+
+def test_spectral_check_peak_memory_below_one_dense_array(tmp_path):
+    # One float64 J x J array at J = 2048 is 32 MiB; the blocked route holds
+    # O(block * J).
+    argv = ["spectral-check", "--j", "2048", "--n", "20000", "--trials", "1"]
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--out", str(tmp_path / "check.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048 * 2048 * 8, peak
+
+
 def test_io_failure_exits_3(tmp_path):
     missing = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert main(["sieve", "--limit", "10", "--out", str(missing)]) == 3
@@ -601,7 +637,8 @@ def test_average_oversized_ladder_exits_64(monkeypatch, capsys):
     "sub, key, cap",
     [
         ("expsum", "grid-den", expsums.MAX_GRID_DENOMINATOR),
-        ("spectral-check", "j", spectral.MAX_DENSE_PERIOD),
+        ("spectral-check", "j", spectral.MAX_CHECK_PERIOD),
+        ("spectral-check", "trials", cli.MAX_TRIALS),
         ("maximal", "j", dynamics.MAX_CYCLIC_PERIOD),
         ("average", "starts", cli.MAX_STARTS),
     ],

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import max_rel_error, polys
-from ergolab import rng
+from ergolab import folding, rng, spectral
 from ergolab.dynamics import CyclicShift, bilinear_average
 from ergolab.polynomials import IntPolynomial
 from ergolab.spectral import (
     SQUARE_IDENTITY_RTOL,
     DCoefficients,
+    OffDiagonalKernel,
     PeriodicSignal,
     Spectrum,
     build_kernels,
@@ -119,6 +120,77 @@ def test_kernel_transform_reproduces_coefficient_slices(mobius_100k):
     for s in range(j):
         worst = max(worst, np.max(np.abs(transformed[:, s] - coeffs.matrix[k, (s - k) % j])))
     assert worst < 1e-12
+
+
+def _random_particles(period: int, count: int, seed: int) -> OffDiagonalKernel:
+    rows = rng.integers_mod(seed, count, period)
+    cols = rng.integers_mod(seed + 1, count, period)
+    masses = 2.0 * rng.uniform01(seed + 2, count) - 1.0
+    return OffDiagonalKernel(period, rows, cols, masses)
+
+
+def test_transform_matches_full_inverse_fft():
+    for j in (1, 2, 3, 31, 64, 97, 256):
+        kernel = _random_particles(j, 3 * j, 500 + j)
+        reference = np.fft.ifft2(kernel.dense()) * j * j
+        assert max_rel_error(kernel.transform(), reference) < 1e-12
+
+
+def _dense_total_degree(kernel: OffDiagonalKernel, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_k F(f)(k) F(g)(s-k) transform()[k, s] by the full contraction."""
+    j = kernel.period
+    k = np.arange(j)
+    g_shifted = (np.fft.fft(g) / j)[(k[None, :] - k[:, None]) % j]
+    return np.einsum("k,ks,ks->s", np.fft.fft(f) / j, g_shifted, kernel.transform())
+
+
+# 1 and 3 put one to three u rows in each block, so blocks split the rows.
+block_sizes = st.sampled_from([1, 3, folding._BLOCK_ELEMENTS])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 200), st.integers(0, 2**32 - 1), block_sizes)
+def test_total_degree_matches_dense_contraction(period, count, seed, block):
+    kernel = _random_particles(period, count, seed)
+    f = rng.complex_box(seed + 3, period)
+    g = rng.complex_box(seed + 4, period)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(folding, "_BLOCK_ELEMENTS", block)
+        got = kernel.total_degree(f, g)
+    want = _dense_total_degree(kernel, f, g)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+KERNEL_TABLES = [sieve(kind, 300) for kind in WeightKind] + [zero_table(300)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 64),
+    st.integers(1, 300),
+    st.sampled_from(KERNEL_TABLES),
+    polys(max_degree=3),
+    polys(max_degree=3),
+    st.integers(0, 2**32 - 1),
+    block_sizes,
+)
+def test_total_degree_matches_explicit_d(period, n, table, p_poly, q_poly, seed, block):
+    # n below the period leaves every n its own class.
+    f = PeriodicSignal.seeded_complex(period, seed)
+    g = PeriodicSignal.seeded_complex(period, seed + 1)
+    _, _, l_kernel = build_kernels(table, p_poly, q_poly, n, period)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(folding, "_BLOCK_ELEMENTS", block)
+        got = l_kernel.total_degree(f.values, g.values)
+    coeffs = d_coefficients(table, p_poly, q_poly, n, period)
+    want = spectral._total_degree_spectrum(dft(f), dft(g), coeffs)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_total_degree_rejects_other_periods():
+    kernel = _random_particles(8, 4, 1)
+    with pytest.raises(ValueError):
+        kernel.total_degree(np.ones(8), np.ones(16))
 
 
 def test_off_diagonal_construction(mobius_100k):
