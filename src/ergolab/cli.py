@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, dynamics, expsums, maximal, rng, spectral
-from .expsums import RationalAngle, RationalGrid, grid_scan, max_over_grid, short_interval_sum
+from .expsums import RationalAngle, RationalGrid, grid_maxima, grid_scan, short_interval_sum
 from .polynomials import IntPolynomial, parse_poly
 from .spectral import TOLERANCES, PeriodicSignal
 from .weights import CapacityError, WeightKind, sieve as run_sieve
@@ -389,8 +389,7 @@ def _cmd_expsum(config: dict) -> int:
         _write_csv(config["out"], "theta,re,im,abs", [thetas, *_re_im_abs(values)])
         return 0
     if mode == "profile":
-        grid = RationalGrid(config["grid_den"])
-        peaks = [max_over_grid(table, poly, grid, n_max) for n_max in lengths]
+        peaks = grid_maxima(table, poly, RationalGrid(config["grid_den"]), lengths)
         theta_stars, maxima = np.array(peaks).T
         _write_csv(config["out"], "n,max_abs,theta_star", [lengths, maxima, theta_stars])
         return 0
@@ -467,11 +466,8 @@ def _cmd_average(config: dict) -> int:
     if config["starts"] > 1:
         count = dynamics.state_count(system)
         starts.extend(int(s) for s in rng.integers_mod(config["seed"], config["starts"] - 1, count))
-
-    def trace_values(x):
-        return dynamics.convergence_trace(system, f, g, p_poly, q_poly, table, ladder, x).values
-
-    values = np.concatenate(_pooled_map(trace_values, starts, config["threads"]))
+    traces = dynamics.convergence_traces(system, f, g, p_poly, q_poly, table, ladder, starts)
+    values = np.concatenate([trace.values for trace in traces])
     columns = [np.repeat(starts, len(ladder.members)), np.tile(ladder.members, len(starts))]
     _write_csv(config["out"], "start,n,re,im,abs", [*columns, *_re_im_abs(values)])
     return 0
@@ -556,18 +552,13 @@ def _cmd_maximal(config: dict) -> int:
     n_read = ladder.bands[-1] if mode in ("band", "oscillation") else n_top
     table = run_sieve(_WEIGHTS[config["weight"]], n_read)
     if mode == "band":
-        norms = []
-        for k in range(1, ladder.band_count + 1):
-            signal = maximal.band_maximal(phi, psi, p_poly, q_poly, table, ladder, k)
-            norms.append(
-                {
-                    "band": k,
-                    "endpoints": list(ladder.band(k)),
-                    "l2_norm": signal.norm(2),
-                    "max": signal.norm(np.inf),
-                }
-            )
-        results = {"bands": norms}
+        peaks = maximal.band_peaks(phi, psi, p_poly, q_poly, table, ladder, ladder.band_count)
+        signals = (PeriodicSignal(period, peak) for peak in peaks)
+        results = {"bands": [
+            {"band": k, "endpoints": list(ladder.band(k)),
+             "l2_norm": m.norm(2), "max": m.norm(np.inf)}
+            for k, m in enumerate(signals, 1)
+        ]}
     elif mode == "oscillation":
         report = maximal.oscillation_sum(
             phi, psi, p_poly, q_poly, table, ladder, config["bands"]

@@ -18,6 +18,8 @@ spectral module evaluates, which gives an external oracle for both.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
 
@@ -197,36 +199,9 @@ def _orbit_values(system, observable, residues: np.ndarray, x: int, power: int =
     return observable.at_points(positions, count)
 
 
-def _folded_terms(system, observables, polys, powers, x: int, n_end: int) -> np.ndarray:
-    """prod_i f_i(T^{power_i * P_i(r)} x) for every class r of n <= n_end."""
-    count = state_count(system)
-    prod = None
-    for obs, poly, power in zip(observables, polys, powers):
-        values = _orbit_values(system, obs, folding.residues(poly, count, n_end), x, power)
-        prod = values if prod is None else prod * values
-    return prod
-
-
-def _folded_average(system, observables, polys, powers, table, n_max: int, x: int) -> complex:
-    """(1/N) sum_{n<=N} nu(n) prod_i f_i(T^{power_i P_i(n)} x), one term per class."""
-    _, classes, masses = folding.class_masses(table, state_count(system), [n_max])
-    terms = _folded_terms(system, observables, polys, powers, x, n_max)
-    return complex(np.dot(masses, terms[classes]) / n_max)
-
-
-def bilinear_average(
-    system,
-    f,
-    g,
-    p_poly: IntPolynomial,
-    q_poly: IntPolynomial,
-    table: WeightTable,
-    n_max: int,
-    x: int,
-) -> complex:
+def bilinear_average(system, f, g, p_poly, q_poly, table, n_max: int, x: int) -> complex:
     """(1/N) sum_{n<=N} nu(n) f(T^{P(n)} x) g(T^{Q(n)} x)."""
-    x = system.check_state(x)
-    return _folded_average(system, [f, g], [p_poly, q_poly], [1, 1], table, n_max, x)
+    return multilinear_average(system, [f, g], [p_poly, q_poly], table, n_max, x)
 
 
 def multilinear_average(
@@ -238,7 +213,8 @@ def multilinear_average(
     x: int,
     powers=None,
 ) -> complex:
-    """(1/N) sum nu(n) prod_i f_i(T_i^{P_i(n)} x) with each T_i a power of T."""
+    """(1/N) sum nu(n) prod_i f_i(T_i^{P_i(n)} x) with each T_i a power of T,
+    one term per class."""
     if len(observables) != len(polys) or not observables:
         raise ValueError("need k >= 1 observables with one polynomial each")
     if powers is None:
@@ -246,7 +222,13 @@ def multilinear_average(
     if len(powers) != len(observables):
         raise ValueError("powers must match the observables")
     x = system.check_state(x)
-    return _folded_average(system, observables, polys, powers, table, n_max, x)
+    count = state_count(system)
+    _, classes, masses = folding.class_masses(table, count, [n_max])
+    terms = functools.reduce(np.multiply, (
+        _orbit_values(system, obs, folding.residues(poly, count, n_max), x, power)
+        for obs, poly, power in zip(observables, polys, powers)
+    ))
+    return complex(np.dot(masses, terms[classes]) / n_max)
 
 
 @dataclass(frozen=True, eq=False)  # values is an array: compare by identity
@@ -271,7 +253,7 @@ class AverageTrace:
         return self.lengths[-1], self.values[-1]
 
 
-def convergence_trace(
+def convergence_traces(
     system,
     f,
     g,
@@ -279,30 +261,39 @@ def convergence_trace(
     q_poly: IntPolynomial,
     table: WeightTable,
     ladder: LacunaryLadder,
-    x: int,
-) -> AverageTrace:
-    """A_N(x) for every member N of the ladder.
+    starts,
+) -> Iterator[AverageTrace]:
+    """Yield the trace of A_N(x) over the ladder members N for each x in starts.
 
-    One pass with running sums: the class masses of each stretch between
-    consecutive members weight the per-class terms, and are accumulated,
-    never recomputed from scratch.  A ladder past table.limit raises
-    ValueError.
+    The class masses between consecutive members (one class_masses pass)
+    and the residues P(r), Q(r) do not depend on x; each start costs its
+    observable gather and one running sum.  A ladder past table.limit
+    raises ValueError.
     """
-    x = system.check_state(x)
+    starts = [system.check_state(x) for x in starts]
+    count = state_count(system)
     members = np.array(ladder.members, dtype=np.int64)
-    offsets, classes, masses = folding.class_masses(table, state_count(system), members)
-    terms = _folded_terms(system, [f, g], [p_poly, q_poly], [1, 1], x, ladder.members[-1])
-    prefix = np.concatenate([[0], np.cumsum(masses * terms[classes])])
-    values = prefix[offsets[1:]] / members
-    values.flags.writeable = False
-    return AverageTrace(
-        start=x,
-        weight_kind=table.kind,
-        p_spec=p_poly.spec_string(),
-        q_spec=q_poly.spec_string(),
-        lengths=ladder.members,
-        values=values,
-    )
+    offsets, classes, masses = folding.class_masses(table, count, members)
+    a = folding.residues(p_poly, count, ladder.members[-1])
+    b = folding.residues(q_poly, count, ladder.members[-1])
+    for x in starts:
+        terms = _orbit_values(system, f, a, x) * _orbit_values(system, g, b, x)
+        prefix = np.concatenate([[0], np.cumsum(masses * terms[classes])])
+        values = prefix[offsets[1:]] / members
+        values.flags.writeable = False
+        yield AverageTrace(
+            start=x,
+            weight_kind=table.kind,
+            p_spec=p_poly.spec_string(),
+            q_spec=q_poly.spec_string(),
+            lengths=ladder.members,
+            values=values,
+        )
+
+
+def convergence_trace(system, f, g, p_poly, q_poly, table, ladder, x: int) -> AverageTrace:
+    """A_N(x) for every member N of the ladder: convergence_traces at one start."""
+    return next(convergence_traces(system, f, g, p_poly, q_poly, table, ladder, [x]))
 
 
 def cauchy_schwarz_split(

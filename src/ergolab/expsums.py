@@ -15,14 +15,16 @@ the classes r = n mod q (ergolab.folding): nu enters through the exact
 class masses, and P is evaluated once per class, not once per n.  Grid
 scans over all a for a fixed q reduce to a length-q histogram of the
 class residues followed by one inverse FFT, so a full scan costs
-O(N + q log q) rather than O(N q).  Short-interval sums stay per-n: their
-window does not start at n = 1, and when q exceeds the window each n is
-its own class anyway.
+O(N + q log q) rather than O(N q); scans at several lengths (grid_scans)
+fold once and sum the segment histograms.  Short-interval sums stay
+per-n: their window does not start at n = 1, and when q exceeds the
+window each n is its own class anyway.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,15 +120,30 @@ class UniformGrid:
         return np.arange(self.points) * (_TWO_PI / self.points)
 
 
+def grid_scans(
+    table: WeightTable, poly: IntPolynomial, grid: RationalGrid, lengths
+) -> Iterator[np.ndarray]:
+    """Yield grid_scan(table, poly, grid, N) for each N of the strictly
+    increasing lengths: one class_masses pass, a histogram of each segment's
+    residues summed over the segments, one inverse FFT per length.  The
+    histograms are sums of integers, exact in float64, so each scan is
+    bitwise the one of its length alone.
+    """
+    q = grid.denominator
+    offsets, classes, masses = folding.class_masses(table, q, lengths)
+    residues = folding.residues(poly, q, lengths[-1])[classes]
+    hist = np.zeros(q)
+    for k, n_max in enumerate(lengths):
+        lo, hi = offsets[k], offsets[k + 1]
+        hist += np.bincount(residues[lo:hi], weights=masses[lo:hi], minlength=q)
+        yield np.fft.ifft(hist) * (q / n_max)
+
+
 def grid_scan(
     table: WeightTable, poly: IntPolynomial, grid: RationalGrid, n_max: int
 ) -> np.ndarray:
     """All grid values S(2 pi a / q), a = 0..q-1, via histogram + FFT."""
-    q = grid.denominator
-    _, classes, masses = folding.class_masses(table, q, [n_max])
-    residues = folding.residues(poly, q, n_max)[classes]
-    hist = np.bincount(residues, weights=masses, minlength=q)
-    return np.fft.ifft(hist) * (q / n_max)
+    return next(grid_scans(table, poly, grid, [n_max]))
 
 
 # Moduli within this absolute margin of the maximum count as tied; the
@@ -140,22 +157,37 @@ def _argmax_smallest(values: np.ndarray) -> int:
     return int(np.argmax(values >= top - _TIE_EPS))
 
 
+def grid_maxima(
+    table: WeightTable, poly: IntPolynomial, grid, lengths
+) -> list[tuple[float, float]]:
+    """(theta_star, max |S|) over the grid at each N of lengths, in their
+    order (repeats allowed); ties break to the smallest theta.  A
+    RationalGrid reads one grid_scans pass over the sorted distinct lengths.
+    """
+    if isinstance(grid, RationalGrid):
+        distinct = sorted(set(lengths))
+        peaks = {}
+        for n_max, scan in zip(distinct, grid_scans(table, poly, grid, distinct)):
+            values = np.abs(scan)
+            a_star = _argmax_smallest(values)
+            peaks[n_max] = _TWO_PI * a_star / grid.denominator, float(values[a_star])
+        return [peaks[n_max] for n_max in lengths]
+    if isinstance(grid, UniformGrid):
+        thetas = grid.thetas()
+        out = []
+        for n_max in lengths:
+            moduli = np.array([abs(weighted_poly_sum(table, poly, t, n_max)) for t in thetas])
+            i_star = _argmax_smallest(moduli)
+            out.append((float(thetas[i_star]), float(moduli[i_star])))
+        return out
+    raise TypeError(f"unsupported grid type {type(grid).__name__}")
+
+
 def max_over_grid(
     table: WeightTable, poly: IntPolynomial, grid, n_max: int
 ) -> tuple[float, float]:
     """(theta_star, max |S|) over the grid; ties break to the smallest theta."""
-    if isinstance(grid, RationalGrid):
-        values = np.abs(grid_scan(table, poly, grid, n_max))
-        a_star = _argmax_smallest(values)
-        return _TWO_PI * a_star / grid.denominator, float(values[a_star])
-    if isinstance(grid, UniformGrid):
-        thetas = grid.thetas()
-        moduli = np.array(
-            [abs(weighted_poly_sum(table, poly, t, n_max)) for t in thetas]
-        )
-        i_star = _argmax_smallest(moduli)
-        return float(thetas[i_star]), float(moduli[i_star])
-    raise TypeError(f"unsupported grid type {type(grid).__name__}")
+    return grid_maxima(table, poly, grid, [n_max])[0]
 
 
 @dataclass(frozen=True)
@@ -179,16 +211,12 @@ class DecayProfile:
 def decay_profile(
     table: WeightTable, poly: IntPolynomial, grid, n_list: list[int]
 ) -> DecayProfile:
-    """Run max_over_grid at each N and fit log(max) against log log N."""
+    """Take grid_maxima over n_list and fit log(max) against log log N."""
     if len(n_list) < 3:
         raise ValueError("decay fit needs at least 3 lengths")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
-    thetas, maxima = [], []
-    for n_max in n_list:
-        theta_star, value = max_over_grid(table, poly, grid, n_max)
-        thetas.append(theta_star)
-        maxima.append(value)
+    thetas, maxima = zip(*grid_maxima(table, poly, grid, n_list))
     if min(maxima) <= 0.0:
         raise ValueError("cannot fit a log-power decay model through zero maxima")
 

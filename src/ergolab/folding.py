@@ -13,12 +13,15 @@ This module owns the pieces every folded route needs: the table range
 check, the exact int64 class masses, the class residues P(r) mod J, and
 the cyclic-shift orbit sums built from them.  The direct averages, the
 D[k][l] mass kernels, the ladder statistics, the dynamics averages and
-the exponential-sum scans all read nu through class_masses.  The class
+the exponential-sum scans all read nu through class_masses, once per
+command: one segmented pass over all the lengths a caller needs.  The class
 of n is n mod J; when J exceeds N every n <= N is its own class, so a
 period larger than the sum length never costs more than the unfolded sum.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -107,14 +110,16 @@ def orbit_sums(
     f: np.ndarray,
     g: np.ndarray,
     lengths,
-) -> np.ndarray:
-    """Running sums S_N(j) = sum_{n<=N} nu(n) f(j + P(n)) g(j + Q(n)) on Z/JZ.
+) -> Iterator[np.ndarray]:
+    """Yield the running sums S_N(j) = sum_{n<=N} nu(n) f(j + P(n)) g(j + Q(n))
+    on Z/JZ for each N in lengths, which must increase strictly.
 
-    f and g are the J values of two J-periodic signals; row k of the
-    result is N = lengths[k], which must increase strictly.  Each class r
-    with a nonzero mass m_r costs one J-long gather of the cyclic shifts
-    f(. + P(r)) g(. + Q(r)), weighted by m_r and done in blocks of classes
-    to bound memory.
+    f and g are the J values of two J-periodic signals.  The sums come
+    from one class_masses pass, and each yield is a fresh J-long array, so
+    a caller may keep it or read the sums one at a time in O(J) memory.
+    Each class r with a nonzero mass m_r costs one J-long gather of the
+    cyclic shifts f(. + P(r)) g(. + Q(r)), weighted by m_r and done in
+    blocks of classes to bound memory.
     Accumulation is in a fixed order without BLAS, so results do not depend
     on thread counts; with integer-valued signals every sum is exact.
     """
@@ -127,13 +132,12 @@ def orbit_sums(
     f_windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([f, f]), period)
     g_windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([g, g]), period)
     block = max(1, _BLOCK_ELEMENTS // period)
-    sums = np.empty((offsets.size - 1, period), dtype=np.complex128)
     running = np.zeros(period, dtype=np.complex128)
     for row in range(offsets.size - 1):
         for start in range(offsets[row], offsets[row + 1], block):
             stop = min(start + block, offsets[row + 1])
             sel = classes[start:stop]
-            prod = f_windows[a[sel]] * g_windows[b[sel]]
+            prod = f_windows[a[sel]]
+            prod *= g_windows[b[sel]]
             running += np.einsum("n,nj->j", weights[start:stop], prod)
-        sums[row] = running
-    return sums
+        yield running.copy()

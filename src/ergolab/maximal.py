@@ -11,9 +11,10 @@ The ladder I_rho = {floor(rho^n)} discretizes N.  A band [N_k, N_{k+1}]
     m_k(j) = max over ladder members N in [N_k, N_{k+1}] of |A_N(j) - A_{N_k}(j)|
 
 whose normalized l2 norms are summed and compared against
-sqrt(K) * ||phi||_4 ||psi||_4.  The global maximal function takes the sup
-of |A_N(j)| over every N up to a cutoff, and the weak-type statistic is
-sup over lambda of lambda * #{j : maximal(j) > lambda} with unnormalized
+sqrt(K) * ||phi||_4 ||psi||_4; all K bands come from one band_peaks pass,
+one fold in O(J) memory.  The global maximal function takes the sup of
+|A_N(j)| over every N up to a cutoff, and the weak-type statistic is sup
+over lambda of lambda * #{j : maximal(j) > lambda} with unnormalized
 counting on the j side.
 
 The classical orbit pair is P(n) = n, Q(n) = -n; all entry points accept
@@ -22,7 +23,9 @@ arbitrary integer polynomial pairs.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,15 +123,34 @@ class LacunaryLadder:
         return [m for m in self.members if lo <= m <= hi]
 
 
-def _check_pair(phi: PeriodicSignal, psi: PeriodicSignal) -> int:
-    if phi.period != psi.period:
-        raise ValueError("signal periods differ")
-    return phi.period
-
-
-def _band_peak(averages: np.ndarray) -> np.ndarray:
-    """max over the rows of |A_N - A_{N_k}|, the first row being A_{N_k}."""
-    return np.abs(averages - averages[0]).max(axis=0)
+def band_peaks(
+    phi: PeriodicSignal,
+    psi: PeriodicSignal,
+    p_poly: IntPolynomial,
+    q_poly: IntPolynomial,
+    table: WeightTable,
+    ladder: LacunaryLadder,
+    band_count: int,
+) -> Iterator[np.ndarray]:
+    """Yield m_k(j) = max over members N in band k of |A_N(j) - A_{N_k}(j)|,
+    k = 1..band_count, each a fresh J-long float array, from one orbit_sums
+    pass over the members N_1..N_{band_count+1}.  Each band keeps its base
+    average and a running max; a band with equal endpoints is zero.
+    """
+    if not 1 <= band_count <= ladder.band_count:
+        raise ValueError(f"band_count {band_count} outside 1..{ladder.band_count}")
+    bands = ladder.bands
+    members = ladder.members_between(bands[0], bands[band_count])
+    sums = folding.orbit_sums(table, p_poly, q_poly, phi.values, psi.values, members)
+    k = 1
+    for n_value, running in zip(members, sums):
+        average = running / n_value
+        if n_value == bands[k - 1]:
+            base, peak = average, np.zeros(phi.period)
+        np.maximum(peak, np.abs(average - base), out=peak)
+        while k <= band_count and n_value == bands[k]:
+            yield peak
+            base, peak, k = average, np.zeros(phi.period), k + 1
 
 
 def band_maximal(
@@ -142,14 +164,11 @@ def band_maximal(
 ) -> PeriodicSignal:
     """j -> max over ladder members N in band k of |A_N(j) - A_{N_k}(j)|.
 
-    Computed from one incremental pass; values are nonnegative reals.
-    A band whose endpoints coincide (single member) is identically zero.
+    Row k of band_peaks; values are nonnegative reals.
     """
-    lo, hi = ladder.band(k)
-    checkpoints = ladder.members_between(lo, hi)
-    sums = folding.orbit_sums(table, p_poly, q_poly, phi.values, psi.values, checkpoints)
-    averages = sums / np.array(checkpoints, dtype=np.float64)[:, None]
-    return PeriodicSignal(phi.period, _band_peak(averages).astype(np.complex128))
+    peaks = band_peaks(phi, psi, p_poly, q_poly, table, ladder, k)
+    peak = next(itertools.islice(peaks, k - 1, None))
+    return PeriodicSignal(phi.period, peak.astype(np.complex128))
 
 
 @dataclass(frozen=True)
@@ -177,22 +196,12 @@ def oscillation_sum(
 ) -> OscillationReport:
     """sum_{k<=K} ||m_k||_2 against sqrt(K) ||phi||_4 ||psi||_4 for K = 1..band_count.
 
-    All bands come from one incremental pass.  ratios[K-1] is the running
+    All bands come from one band_peaks pass.  ratios[K-1] is the running
     comparison; boundedness of the ratio sequence is the checkable trend
     (the comparison constant itself is not effective).
     """
-    if not 1 <= band_count <= ladder.band_count:
-        raise ValueError(f"band_count {band_count} outside 1..{ladder.band_count}")
-    checkpoints = ladder.members_between(ladder.bands[0], ladder.bands[band_count])
-    sums = folding.orbit_sums(table, p_poly, q_poly, phi.values, psi.values, checkpoints)
-    averages = sums / np.array(checkpoints, dtype=np.float64)[:, None]
-    positions = {n_value: row for row, n_value in enumerate(checkpoints)}
-
-    norms = []
-    for k in range(1, band_count + 1):
-        lo, hi = ladder.band(k)
-        peak = _band_peak(averages[positions[lo] : positions[hi] + 1])
-        norms.append(float(np.sqrt(np.mean(peak**2))))
+    peaks = band_peaks(phi, psi, p_poly, q_poly, table, ladder, band_count)
+    norms = [float(np.sqrt(np.mean(peak**2))) for peak in peaks]
 
     cumulative = np.cumsum(norms)
     norm4 = phi.norm(4) * psi.norm(4)
@@ -226,7 +235,9 @@ def global_maximal(
     residue classes the way the ladder statistics are: this stays one
     J-long update per term, O(N J).
     """
-    period = _check_pair(phi, psi)
+    period = phi.period
+    if psi.period != period:
+        raise ValueError("signal periods differ")
     folding.check_length(table, n_max)
     w = table.values[1 : n_max + 1].astype(np.float64)
     n_values = np.arange(1, n_max + 1, dtype=np.int64)

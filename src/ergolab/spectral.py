@@ -157,12 +157,12 @@ def d_coefficients(
 ) -> DCoefficients:
     """All J^2 coefficients in O(N + J^2 log J).
 
-    D is the transform of off_diagonal(K_P, K_Q), the folded kernels of
-    build_kernels lifted to (P(r), Q(r)); phases are exact because the
-    residues are computed with modular Horner evaluation.
+    D is the transform of the particles of build_kernels lifted to
+    (P(r), Q(r)); phases are exact because the residues are computed with
+    modular Horner evaluation.
     """
     k_p, k_q, _ = build_kernels(table, p_poly, q_poly, n_max, period)
-    matrix = off_diagonal(k_p, k_q).transform()
+    matrix = OffDiagonalKernel(period, k_p.positions, k_q.positions, k_p.masses).transform()
     return DCoefficients(period=period, length=n_max, matrix=matrix)
 
 
@@ -174,17 +174,10 @@ class DiagonalKernel:
     positions: np.ndarray
     masses: np.ndarray
 
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
     def dense(self) -> np.ndarray:
         out = np.zeros(self.period, dtype=np.float64)
         np.add.at(out, self.positions, self.masses)
         return out
-
-    def transform(self) -> np.ndarray:
-        """k -> sum_i mass_i e^{2 pi i k x_i / J} (no 1/J for mass tables)."""
-        return np.fft.ifft(self.dense()) * self.period
 
 
 @dataclass
@@ -267,30 +260,6 @@ class OffDiagonalKernel:
         return total / j
 
 
-def off_diagonal(
-    kernel: DiagonalKernel, other: DiagonalKernel | None = None
-) -> OffDiagonalKernel:
-    """Lift particle kernels to the product space.
-
-    With one argument the particles land on the diagonal (x_i, x_i); with
-    two kernels sharing the same particle masses they land on (x_i, y_i).
-    """
-    if other is None:
-        other = kernel
-    if kernel.period != other.period:
-        raise ValueError("kernel periods differ")
-    if kernel.positions.shape != other.positions.shape or not np.array_equal(
-        kernel.masses, other.masses
-    ):
-        raise ValueError("kernels must share the same particle list and masses")
-    return OffDiagonalKernel(
-        period=kernel.period,
-        rows=kernel.positions.copy(),
-        cols=other.positions.copy(),
-        masses=kernel.masses.copy(),
-    )
-
-
 def build_kernels(
     table: WeightTable,
     p_poly: IntPolynomial,
@@ -352,7 +321,7 @@ def direct_average_all(
     rather than O(N J).
     """
     sums = folding.orbit_sums(table, p_poly, q_poly, f.values, g.values, [n_max])
-    return PeriodicSignal(f.period, sums[0] / n_max)
+    return PeriodicSignal(f.period, next(sums) / n_max)
 
 
 def l2_norm_of_average(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergolab import cli, dynamics, expsums, maximal, rng, spectral
+from ergolab import cli, dynamics, expsums, folding, maximal, rng, spectral
 from ergolab.cli import USAGE_EXIT, UsageError, main, parse_args
 from ergolab.polynomials import IntPolynomial
 from ergolab.weights import WeightKind, sieve
@@ -160,9 +160,11 @@ def _scan_case(rows):
     return argv, _per_cell_csv("theta,re,im,abs", cells)
 
 
-def _profile_case(rows):
+def _profile_case(rows, unsorted=False):
     lengths = [40 * (k + 1) for k in range(rows)]
-    table = sieve(WeightKind.MOBIUS, lengths[-1])
+    if unsorted:  # descending, each length twice: rows come in the given order
+        lengths = [40 * (k // 2 + 1) for k in reversed(range(rows))]
+    table = sieve(WeightKind.MOBIUS, max(lengths))
     grid = expsums.RationalGrid(16)
     cells = []
     for n in lengths:
@@ -199,6 +201,7 @@ WRITER_CASES = {
     "sieve-sums": lambda rows: _sieve_case(rows, sums=True),
     "scan": _scan_case,
     "profile": _profile_case,
+    "profile-unsorted": lambda rows: _profile_case(rows, unsorted=True),
     "average": _average_case,
 }
 
@@ -504,6 +507,7 @@ def test_oversized_ladder_exits_64(monkeypatch, capsys):
         (["maximal", "--mode", "global", "--j", "8", "--n-max", "300"], 300),
         (["maximal", "--mode", "weaktype", "--j", "8", "--n-max", "300"], 300),
         (["maximal", "--mode", "global", "--j", "8"], 1024),
+        (["expsum", "profile", "--n-list", "700,100,400,400", "--grid-den", "8"], 700),
     ],
 )
 def test_sieves_once_to_what_the_mode_reads(argv, limit, monkeypatch, tmp_path):
@@ -516,6 +520,29 @@ def test_sieves_once_to_what_the_mode_reads(argv, limit, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "run_sieve", counting_sieve)
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
     assert limits == [limit]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maximal", "--mode", "band", "--j", "16", "--rho", "2", "--bands", "6"],
+        ["maximal", "--mode", "oscillation", "--j", "16", "--rho", "2", "--bands", "6"],
+        ["average", "--system", "cyclic:97", "--limit", "4096", "--starts", "4"],
+        ["average", "--system", "rotation:355/1131", "--f", "modes:1=1;3=0.5j",
+         "--g", "modes:2=1", "--limit", "4096", "--starts", "4"],
+        ["expsum", "profile", "--n-list", "100,700,400", "--grid-den", "8"],
+    ],
+)
+def test_folds_the_weights_once_per_command(argv, monkeypatch, tmp_path):
+    fold, periods = folding.class_masses, []
+
+    def counted(table, period, lengths):
+        periods.append(period)
+        return fold(table, period, lengths)
+
+    monkeypatch.setattr(folding, "class_masses", counted)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert len(periods) == 1, periods
 
 
 @pytest.mark.parametrize(

@@ -70,9 +70,9 @@ def test_pm1_running_sums_are_exact(period, table, p_poly, q_poly, seed, checkpo
     checkpoints = sorted(checkpoints)
     f = PeriodicSignal.seeded_pm1(period, seed).values.real.astype(np.int64)
     g = PeriodicSignal.seeded_pm1(period, seed + 1).values.real.astype(np.int64)
-    sums = folding.orbit_sums(
+    sums = np.array(list(folding.orbit_sums(
         table, p_poly, q_poly, f.astype(np.complex128), g.astype(np.complex128), checkpoints
-    )
+    )))
 
     js = np.arange(period)
     running = np.zeros(period, dtype=np.int64)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ergolab.maximal import (
     CLASSICAL_Q,
     LacunaryLadder,
     band_maximal,
+    band_peaks,
     default_lambda_grid,
     global_maximal,
     oscillation_sum,
@@ -106,6 +108,40 @@ def test_band_maximal_general_polynomials_match_bruteforce(mobius_100k):
         ours = band_maximal(phi, psi, SQUARE, LINEAR, mobius_100k, ladder, band)
         brute = brute_band_maximal(phi, psi, SQUARE, LINEAR, mobius_100k, ladder, band)
         assert np.array_equal(ours.values.real, brute)
+
+
+def test_band_peaks_match_each_band_and_the_brute_force(mobius_100k):
+    j = 16
+    phi = PeriodicSignal.seeded_pm1(j, 83)
+    psi = PeriodicSignal.seeded_pm1(j, 84)
+    doubling = LacunaryLadder.build(2.0, 1 << 7)
+    # a degenerate band between two wide ones
+    ladder = LacunaryLadder(rho=2.0, limit=128, members=doubling.members, bands=(2, 16, 16, 128))
+    peaks = list(band_peaks(phi, psi, SQUARE, LINEAR, mobius_100k, ladder, 3))
+    assert len(peaks) == 3 and not np.any(peaks[1])
+    for band, peak in enumerate(peaks, 1):
+        single = band_maximal(phi, psi, SQUARE, LINEAR, mobius_100k, ladder, band)
+        assert np.array_equal(single.values, peak)
+        brute = brute_band_maximal(phi, psi, SQUARE, LINEAR, mobius_100k, ladder, band)
+        assert np.array_equal(peak, brute)
+
+
+def test_oscillation_holds_no_band_by_period_array():
+    # A (K + 1) x J complex array of running sums at K = 500, J = 8192 is
+    # 65 MB; one pass holds a few J-long vectors and its gather blocks.
+    j, bands = 8192, 500
+    ladder = LacunaryLadder.build(1.01, 1 << 24, band_count=bands)
+    table = sieve(WeightKind.MOBIUS, ladder.bands[-1])
+    phi = PeriodicSignal.seeded_pm1(j, 1)
+    psi = PeriodicSignal.seeded_pm1(j, 2)
+    tracemalloc.start()
+    try:
+        report = oscillation_sum(phi, psi, CLASSICAL_P, CLASSICAL_Q, table, ladder, bands)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.band_l2_norms) == bands
+    assert peak < 16 * 2**20, peak
 
 
 def test_oscillation_zero_weights():

@@ -20,7 +20,6 @@ from ergolab.spectral import (
     idft,
     l2_norm_of_average,
     l4_bound_report,
-    off_diagonal,
     spectral_average_all,
 )
 from ergolab.weights import WeightKind, partial_sum, sieve, zero_table
@@ -191,19 +190,6 @@ def test_total_degree_rejects_other_periods():
     kernel = _random_particles(8, 4, 1)
     with pytest.raises(ValueError):
         kernel.total_degree(np.ones(8), np.ones(16))
-
-
-def test_off_diagonal_construction(mobius_100k):
-    k_p, k_q, _ = build_kernels(mobius_100k, SQUARE, LINEAR, 100, 16)
-    diag = off_diagonal(k_p)
-    assert np.array_equal(diag.rows, diag.cols)
-    mixed = off_diagonal(k_p, k_q)
-    assert np.array_equal(mixed.rows, k_p.positions)
-    assert np.array_equal(mixed.cols, k_q.positions)
-    # transform of the product-measure lift factors at the axes
-    k_spec = k_p.transform()
-    m_spec = off_diagonal(k_p).transform()
-    assert abs(m_spec[3, 0] - k_spec[3]) < 1e-12
 
 
 def test_spectral_equals_direct_trivial_cases(mobius_100k):
