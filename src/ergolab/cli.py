@@ -17,8 +17,9 @@ Exit codes: 0 success, 2 invariant violation detected mid-run,
 64 usage error (including a table past the sieve capacity, a value
 outside its option's low..high such as a spectral-check --j above
 spectral.MAX_CHECK_PERIOD or --trials above MAX_TRIALS, an average
-cyclic:J period above dynamics.MAX_CYCLIC_PERIOD, a non-finite --rho and
-a report input that is not valid JSON).
+cyclic:J period above dynamics.MAX_CYCLIC_PERIOD, a maximal run past
+MAX_WORK element updates, a non-finite --rho and a report input that is not
+valid JSON).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from . import __version__, dynamics, expsums, maximal, rng, spectral
 from .expsums import RationalAngle, RationalGrid, grid_maxima, grid_scan, short_interval_sum
 from .polynomials import IntPolynomial, parse_poly
 from .spectral import TOLERANCES, PeriodicSignal
-from .weights import CapacityError, WeightKind, sieve as run_sieve
+from .weights import CapacityError, WeightKind, check_capacity, sieve as run_sieve
 
 USAGE_EXIT = 64
 
@@ -50,6 +51,9 @@ USAGE_EXIT = 64
 MAX_THREADS = 64
 MAX_STARTS = 1024
 MAX_TRIALS = 1024
+# Most element updates a maximal run may ask for, max(J, 512) times the
+# sum of min(N_k - N_{k-1}, J) over its orbit_sums lengths: about a minute.
+MAX_WORK = 1 << 32
 
 
 class UsageError(Exception):
@@ -342,15 +346,21 @@ def _write_report(config: dict, results: dict, status: str = "ok") -> None:
 
 
 def _write_csv(path: str | None, header: str, columns) -> None:
-    """The header, then one line per row of the equal-length columns (numpy
-    arrays, ranges or lists); a cell prints as str() of its Python value."""
-    line = ",".join(["{}"] * len(columns)) + "\n"
+    """The header, then the rows of the columns (see _write_rows)."""
     with _output(path) as out:
         out.write(header + "\n")
-        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            cells = [column[start : start + _CSV_BLOCK_ROWS] for column in columns]
-            cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in cells]
-            out.write("".join(map(line.format, *cells)))
+        _write_rows(out, columns)
+
+
+def _write_rows(out, columns) -> None:
+    """One line per row of the equal-length columns (numpy arrays, ranges,
+    lists or tuples), _CSV_BLOCK_ROWS at a time; a cell prints as str() of
+    its Python value."""
+    line = ",".join(["{}"] * len(columns)) + "\n"
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        cells = [column[start : start + _CSV_BLOCK_ROWS] for column in columns]
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in cells]
+        out.write("".join(map(line.format, *cells)))
 
 
 def _re_im_abs(values: np.ndarray) -> list[np.ndarray]:
@@ -467,9 +477,11 @@ def _cmd_average(config: dict) -> int:
         count = dynamics.state_count(system)
         starts.extend(int(s) for s in rng.integers_mod(config["seed"], config["starts"] - 1, count))
     traces = dynamics.convergence_traces(system, f, g, p_poly, q_poly, table, ladder, starts)
-    values = np.concatenate([trace.values for trace in traces])
-    columns = [np.repeat(starts, len(ladder.members)), np.tile(ladder.members, len(starts))]
-    _write_csv(config["out"], "start,n,re,im,abs", [*columns, *_re_im_abs(values)])
+    with _output(config["out"]) as out:  # one start's rows at a time
+        out.write("start,n,re,im,abs\n")
+        for trace in traces:
+            column = [trace.start] * len(trace.lengths)
+            _write_rows(out, [column, trace.lengths, *_re_im_abs(trace.values)])
     return 0
 
 
@@ -549,7 +561,18 @@ def _cmd_maximal(config: dict) -> int:
         raise UsageError(f"--rho/--bands: {exc}") from None
     n_top = config["n_max"] or ladder.bands[-1]
     mode = config["mode"]
-    n_read = ladder.bands[-1] if mode in ("band", "oscillation") else n_top
+    if mode in ("band", "oscillation"):  # one orbit_sums pass over the members
+        n_read = ladder.bands[-1]
+        spans = np.diff(ladder.members_between(ladder.bands[0], n_read), prepend=0)
+        terms = int(np.minimum(spans, period).sum())
+    else:  # one orbit_sums row per nonzero weight
+        n_read = terms = n_top
+    check_capacity(n_read)  # a table past the sieve cap reports that first
+    # Below J = 512 a J-long update costs about as much as a 512-long one.
+    work = max(period, 512) * terms
+    if work > MAX_WORK:
+        raise UsageError(f"--j {period} over {terms} terms is {work} element updates, "
+                         f"at most {MAX_WORK}")
     table = run_sieve(_WEIGHTS[config["weight"]], n_read)
     if mode == "band":
         peaks = maximal.band_peaks(phi, psi, p_poly, q_poly, table, ladder, ladder.band_count)

@@ -278,8 +278,8 @@ def convergence_traces(
     b = folding.residues(q_poly, count, ladder.members[-1])
     for x in starts:
         terms = _orbit_values(system, f, a, x) * _orbit_values(system, g, b, x)
-        prefix = np.concatenate([[0], np.cumsum(masses * terms[classes])])
-        values = prefix[offsets[1:]] / members
+        # one expression, so no running sum outlives its start
+        values = np.concatenate([[0], np.cumsum(masses * terms[classes])])[offsets[1:]] / members
         values.flags.writeable = False
         yield AverageTrace(
             start=x,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import folding
-from .polynomials import IntPolynomial, eval_mod_range
+from .polynomials import IntPolynomial
 from .spectral import PeriodicSignal
 from .weights import WeightTable
 
@@ -229,31 +229,23 @@ def global_maximal(
 ) -> PeriodicSignal:
     """j -> sup over every N <= n_max of |A_N(j)| (not just ladder members).
 
-    Between consecutive nonzero weights |S| is constant while N grows, so
-    the sup cannot move there and those N are skipped.  The sup needs A_N
-    at every N with a nonzero weight, so the sum cannot be folded onto
-    residue classes the way the ladder statistics are: this stays one
-    J-long update per term, O(N J).
+    |S_N| only moves at an N with a nonzero weight, so this reads
+    folding.orbit_sums at those N: one term per segment, one J-long
+    update per term, O(N J).
     """
     period = phi.period
     if psi.period != period:
         raise ValueError("signal periods differ")
     folding.check_length(table, n_max)
-    w = table.values[1 : n_max + 1].astype(np.float64)
-    n_values = np.arange(1, n_max + 1, dtype=np.int64)
-    a = eval_mod_range(p_poly, n_values, period)
-    b = eval_mod_range(q_poly, n_values, period)
-    f_windows = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([phi.values, phi.values]), period
-    )
-    g_windows = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([psi.values, psi.values]), period
-    )
-    running = np.zeros(period, dtype=np.complex128)
     peak = np.zeros(period, dtype=np.float64)
-    for i in np.nonzero(w)[0]:
-        running += w[i] * f_windows[a[i]] * g_windows[b[i]]
-        np.maximum(peak, np.abs(running) / (i + 1), out=peak)
+    lengths = np.flatnonzero(table.values[1 : n_max + 1]) + 1
+    if lengths.size:
+        level = np.empty(period, dtype=np.float64)
+        sums = folding.orbit_sums(table, p_poly, q_poly, phi.values, psi.values, lengths)
+        for n_value, running in zip(lengths, sums):
+            np.abs(running, out=level)
+            level /= n_value
+            np.maximum(peak, level, out=peak)
     return PeriodicSignal(period, peak.astype(np.complex128))
 
 

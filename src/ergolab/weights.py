@@ -70,6 +70,12 @@ class WeightTable:
         return self._cumulative
 
 
+def check_capacity(limit: int) -> None:
+    """Raise CapacityError when limit is above DEFAULT_LIMIT_CAP."""
+    if limit > DEFAULT_LIMIT_CAP:
+        raise CapacityError(f"limit {limit} exceeds capacity cap {DEFAULT_LIMIT_CAP}")
+
+
 def sieve(kind: WeightKind, limit: int) -> WeightTable:
     """Sieve mobius or liouville values for all n <= limit.
 
@@ -86,8 +92,7 @@ def sieve(kind: WeightKind, limit: int) -> WeightTable:
     """
     if limit < 1:
         raise ValueError("sieve limit must be at least 1")
-    if limit > DEFAULT_LIMIT_CAP:
-        raise CapacityError(f"limit {limit} exceeds capacity cap {DEFAULT_LIMIT_CAP}")
+    check_capacity(limit)
 
     values = np.ones(limit + 1, dtype=np.int8)
     values[0] = 0

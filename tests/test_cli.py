@@ -233,6 +233,22 @@ def test_csv_writer_memory_does_not_grow_with_rows(monkeypatch, tmp_path):
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
+def test_average_memory_does_not_grow_with_starts(tmp_path):
+    # each start's rows are written before the next start's are computed
+    argv = ["average", "--system", "cyclic:97", "--rho", "1.005", "--limit", "8192",
+            "--out", str(tmp_path / "avg.csv"), "--starts"]
+    assert main(argv + ["2"]) == 0
+    peaks = []
+    for starts in ("1", "16"):
+        tracemalloc.start()
+        try:
+            assert main(argv + [starts]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
 def test_expsum_short_json(tmp_path):
     out = tmp_path / "short.json"
     code = main(
@@ -531,6 +547,8 @@ def test_sieves_once_to_what_the_mode_reads(argv, limit, monkeypatch, tmp_path):
         ["average", "--system", "rotation:355/1131", "--f", "modes:1=1;3=0.5j",
          "--g", "modes:2=1", "--limit", "4096", "--starts", "4"],
         ["expsum", "profile", "--n-list", "100,700,400", "--grid-den", "8"],
+        ["maximal", "--mode", "global", "--j", "16", "--n-max", "300"],
+        ["maximal", "--mode", "weaktype", "--j", "16", "--n-max", "300"],
     ],
 )
 def test_folds_the_weights_once_per_command(argv, monkeypatch, tmp_path):
@@ -682,3 +700,31 @@ def test_memory_caps_exit_64_before_sieving(sub, key, cap, monkeypatch, tmp_path
         err = capsys.readouterr().err
         assert err.startswith("ergolab: error:") and f"at most {cap}" in err
     assert parse_args([sub, f"--{key}", str(cap)])[key.replace("-", "_")] == cap
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        # 641 * 6700417 = 2^32 + 1: one past the cap itself
+        (["maximal", "--mode", "global", "--j", "641", "--n-max", "6700417"], (1 << 32) + 1),
+        (["maximal", "--mode", "weaktype", "--j", "100", "--n-max", "1000"], 512 * 1000),
+        # members 1, 2, 4, ..., 64: spans 1, 1, 2, 4, 8, 16, 32, each at most J = 16
+        (["maximal", "--mode", "band", "--j", "16", "--rho", "2", "--bands", "6"], 512 * 48),
+        (["maximal", "--mode", "oscillation", "--j", "1024", "--rho", "2", "--bands", "6"], 1024 * 64),
+    ],
+)
+def test_work_bound_exits_64_before_sieving(argv, work, monkeypatch, capsys):
+    class Sieved(Exception):
+        pass
+
+    def no_sieve(kind, n):
+        raise Sieved
+
+    monkeypatch.setattr(cli, "run_sieve", no_sieve)
+    monkeypatch.setattr(cli, "MAX_WORK", work - 1)
+    assert main(argv) == USAGE_EXIT
+    err = capsys.readouterr().err
+    assert err.startswith("ergolab: error:") and f"is {work} element updates" in err
+    monkeypatch.setattr(cli, "MAX_WORK", work)
+    with pytest.raises(Sieved):
+        main(argv)

@@ -7,6 +7,7 @@ both weights.
 """
 
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from ergolab.expsums import RationalAngle, RationalGrid, grid_scan, weighted_pol
 from ergolab.maximal import LacunaryLadder
 from ergolab.polynomials import IntPolynomial
 from ergolab.spectral import PeriodicSignal, build_kernels, direct_average_all
-from ergolab.weights import WeightKind, sieve
+from ergolab.weights import WeightKind, WeightTable, sieve, zero_table
 from oracles import naive_bilinear_average, naive_weighted_poly_sum
 
 N_CAP = 400
@@ -70,9 +71,11 @@ def test_pm1_running_sums_are_exact(period, table, p_poly, q_poly, seed, checkpo
     checkpoints = sorted(checkpoints)
     f = PeriodicSignal.seeded_pm1(period, seed).values.real.astype(np.int64)
     g = PeriodicSignal.seeded_pm1(period, seed + 1).values.real.astype(np.int64)
-    sums = np.array(list(folding.orbit_sums(
+    rows = list(folding.orbit_sums(
         table, p_poly, q_poly, f.astype(np.complex128), g.astype(np.complex128), checkpoints
-    )))
+    ))
+    assert not any(row.flags.writeable for row in rows)
+    sums = np.array(rows)
 
     js = np.arange(period)
     running = np.zeros(period, dtype=np.int64)
@@ -158,3 +161,66 @@ def test_class_masses_reject_bad_lengths():
             folding.class_masses(table, 8, lengths)
     with pytest.raises(ValueError):
         folding.class_masses(table, 0, [10])
+
+
+def per_n_masses(values, period, lengths):
+    """(offsets, classes, masses) from one dict per segment, one n at a time.
+
+    A segment spanning at least the period lists its classes in increasing
+    order (a folded segment, or one with at most one term), any other in
+    the order of its n.
+    """
+    offsets, classes, masses = [0], [], []
+    lo = 1
+    for hi in lengths:
+        segment = {}
+        for n in range(lo, hi + 1):
+            if values[n]:
+                segment[n % period] = segment.get(n % period, 0) + int(values[n])
+        rows = [(r, m) for r, m in segment.items() if m]
+        if hi - lo + 1 >= period:
+            rows.sort()
+        classes += [r for r, _ in rows]
+        masses += [m for _, m in rows]
+        offsets.append(len(classes))
+        lo = hi + 1
+    return [np.array(x, dtype=np.int64) for x in (offsets, classes, masses)]
+
+
+# short spans (runs of unfolded segments) mixed with spans past small periods
+spans = st.lists(st.one_of(st.integers(1, 4), st.integers(5, 150)), min_size=1, max_size=12)
+mass_periods = st.one_of(st.integers(1, 8), st.just(64), st.just(N_CAP + 7))
+mass_tables = st.sampled_from(["mobius", "liouville", "zero", "one term per segment"])
+
+
+@SETTINGS
+@given(mass_periods, spans, mass_tables, st.sampled_from(["array", "list", "tuple"]))
+def test_class_masses_match_per_n_dict(period, steps, kind, form):
+    lengths = [n for n in np.cumsum(steps).tolist() if n <= N_CAP] or [N_CAP]
+    if kind == "zero":
+        table = zero_table(N_CAP)
+    elif kind == "one term per segment":
+        values = np.zeros(N_CAP + 1, dtype=np.int8)
+        values[lengths] = TABLES[WeightKind.LIOUVILLE].values[lengths]
+        table = WeightTable(None, N_CAP, values)
+    else:
+        table = TABLES[WeightKind(kind)]
+    given_lengths = {"array": np.array(lengths), "list": lengths, "tuple": tuple(lengths)}[form]
+    actual = folding.class_masses(table, period, given_lengths)
+    for got, expected in zip(actual, per_n_masses(table.values, period, lengths)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+
+def test_class_masses_memory_per_term():
+    # every n <= 2^20 its own segment at period 4096: tracemalloc peak per n
+    n_max = 1 << 20
+    table = sieve(WeightKind.MOBIUS, n_max)
+    lengths = np.arange(1, n_max + 1, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        folding.class_masses(table, 4096, lengths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 72 * n_max, peak / n_max

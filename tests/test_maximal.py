@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab import maximal, rng
 from ergolab.maximal import (
@@ -194,6 +196,62 @@ def test_band_maximal_dominated_by_global(mobius_100k):
     for band in (3, 5, 8):
         m = band_maximal(phi, psi, CLASSICAL_P, CLASSICAL_Q, mobius_100k, ladder, band)
         assert np.all(m.values.real <= 2 * top.values.real + 1e-12)
+
+
+def brute_global_maximal(phi, psi, p_poly, q_poly, table, n_max):
+    """max over every N <= n_max of |S_N(j)| / N, S_N summed one n at a time;
+    integer arithmetic for real integer-valued signals."""
+    period = phi.period
+    j = np.arange(period)
+    exact = not np.any(phi.values.imag) and not np.any(psi.values.imag)
+    f = phi.values.real.astype(np.int64) if exact else phi.values
+    g = psi.values.real.astype(np.int64) if exact else psi.values
+    running = np.zeros(period, dtype=f.dtype)
+    peak = np.zeros(period)
+    for n in range(1, n_max + 1):
+        w = int(table.values[n])
+        if w:
+            running = running + w * f[(j + p_poly(n)) % period] * g[(j + q_poly(n)) % period]
+        peak = np.maximum(peak, np.abs(running) / n)
+    return peak
+
+
+ORBIT_POLYS = [LINEAR, IntPolynomial((0, -1)), SQUARE, IntPolynomial((0, 1, 0, 1))]
+GLOBAL_TABLES = {
+    "mobius": sieve(WeightKind.MOBIUS, 400),
+    "liouville": sieve(WeightKind.LIOUVILLE, 400),
+    "zero": zero_table(400),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(GLOBAL_TABLES)),
+    st.sampled_from(ORBIT_POLYS),
+    st.sampled_from(ORBIT_POLYS),
+    st.sampled_from([1, 2, 3, 16, 97]),
+    st.integers(1, 400),
+    st.sampled_from(["pm1", "complex"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_global_maximal_matches_brute_sup(kind, p_poly, q_poly, period, n_max, signal, seed):
+    make = PeriodicSignal.seeded_pm1 if signal == "pm1" else PeriodicSignal.seeded_complex
+    phi, psi = make(period, seed), make(period, seed + 1)
+    table = GLOBAL_TABLES[kind]
+    result = global_maximal(phi, psi, p_poly, q_poly, table, n_max).values
+    expected = brute_global_maximal(phi, psi, p_poly, q_poly, table, n_max)
+    assert np.array_equal(result.imag, np.zeros(period))
+    if signal == "pm1":
+        assert np.array_equal(result.real, expected)
+    else:
+        assert np.max(np.abs(result.real - expected)) <= 1e-12 * max(1.0, np.max(expected))
+
+
+def test_global_maximal_rejects_mismatched_periods(mobius_100k):
+    phi, psi = PeriodicSignal.seeded_pm1(8, 1), PeriodicSignal.seeded_pm1(16, 2)
+    for table in (mobius_100k, zero_table(64)):
+        with pytest.raises(ValueError, match="signal periods differ"):
+            global_maximal(phi, psi, CLASSICAL_P, CLASSICAL_Q, table, 32)
 
 
 def test_global_maximal_delta_hand_value(mobius_100k):
