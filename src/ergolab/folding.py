@@ -22,7 +22,6 @@ its own class, so folding never costs more than the unfolded sum.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator
 
 import numpy as np
@@ -31,8 +30,10 @@ from . import polynomials
 from .polynomials import IntPolynomial
 from .weights import WeightTable
 
-# Elements per gather block in orbit_sums (bounds its temporaries to a few MB).
+# Elements per gather block of several classes (bounds temporaries to a few MB).
 _BLOCK_ELEMENTS = 1 << 18
+# Elements per block of running sums that orbit_sums yields.
+_ROW_ELEMENTS = 1 << 16
 
 
 def check_length(table: WeightTable, n_max: int) -> None:
@@ -74,12 +75,12 @@ def class_masses(
     # Past the last n every n is its own class; this keeps periods in int64.
     period = min(period, int(bounds[-1]) + 1)
     values = table.values
+    # A segment of one n holds at most one term, so it is never folded.
+    wide = np.flatnonzero(spans >= max(period, 2))
+    terms = np.diff(_nonzero_counts(values, np.stack((bounds[wide], bounds[wide + 1]), axis=1)))
     sizes, classes, masses = [], [], []
     first = 0
-    # A segment of one n holds at most one term, so it is never folded.
-    for k in np.append(np.flatnonzero(spans >= max(period, 2)), spans.size):
-        if k < spans.size and np.count_nonzero(values[bounds[k] + 1 : bounds[k + 1] + 1]) < 2:
-            continue
+    for k in np.append(wide[terms.ravel() >= 2], spans.size):
         # Unfolded segments first..k-1 at once: every nonzero n in order.
         lo = int(bounds[first]) + 1
         n = np.flatnonzero(values[lo : bounds[k] + 1]) + lo
@@ -102,6 +103,27 @@ def class_masses(
     return offsets, np.concatenate(classes), np.concatenate(masses)
 
 
+def _nonzero_counts(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """#{1 <= n <= x : values[n] != 0} for every x in ends, whose entries
+    must not decrease in row-major order; same shape as ends.
+
+    The table is counted in blocks of _BLOCK_ELEMENTS n, with a running
+    count only in blocks that hold some x, so the scratch is O(block),
+    never a per-n array of the whole table.
+    """
+    flat = ends.ravel()
+    counts = np.zeros(flat.size, dtype=np.int64)
+    total, i = 0, np.searchsorted(flat, 1)  # x = 0 counts nothing
+    for lo in range(1, int(flat[-1]) + 1 if flat.size else 1, _BLOCK_ELEMENTS):
+        block = values[lo : lo + _BLOCK_ELEMENTS]
+        j = np.searchsorted(flat, lo + block.size)
+        if j > i:
+            running = np.cumsum(block != 0, dtype=np.int64)
+            counts[i:j] = total + running[flat[i:j] - lo]
+        total, i = total + np.count_nonzero(block), j
+    return counts.reshape(ends.shape)
+
+
 def orbit_sums(
     table: WeightTable,
     p_poly: IntPolynomial,
@@ -111,16 +133,23 @@ def orbit_sums(
     lengths,
 ) -> Iterator[np.ndarray]:
     """Yield the running sums S_N(j) = sum_{n<=N} nu(n) f(j + P(n)) g(j + Q(n))
-    on Z/JZ for each N in lengths, which must increase strictly.
+    on Z/JZ for each N in lengths, which must increase strictly, as 2-d
+    blocks of consecutive rows: row i of a block is the sum at the next
+    length in order.
 
     f and g are the J values of two J-periodic signals.  From one
     class_masses pass, each class r of mass m_r adds m_r f(. + P(r))
-    g(. + Q(r)), one J-long gather (einsum over blocks of classes where a
-    segment has several).  Each yield is read-only and never written
-    again, so a caller may keep it or read the sums one at a time in O(J)
-    memory; lengths with no new term between them may yield the same
-    array.  The order is fixed and BLAS-free, so results do not depend on
-    thread counts; with integer-valued signals every sum is exact.
+    g(. + Q(r)), one J-long gather.  A block holds about _ROW_ELEMENTS
+    elements (at least one row), is read-only and is never written again,
+    so a caller may keep it or read the sums block by block in
+    O(_ROW_ELEMENTS + J) memory.
+
+    When f and g are real, integer-valued and max|f| max|g| lengths[-1]
+    < 2^31, no running sum can leave int32: the blocks are int32 and every
+    sum is exact by type.  Otherwise they are complex128, each row the
+    previous plus its segment's terms (einsum over blocks of classes where
+    a segment has several).  The order is fixed and BLAS-free, so results
+    do not depend on thread counts.
     """
     period = f.size
     if g.size != period:
@@ -128,24 +157,96 @@ def orbit_sums(
     offsets, classes, weights = class_masses(table, period, lengths)
     a = residues(p_poly, period, lengths[-1])[classes]
     b = residues(q_poly, period, lengths[-1])[classes]
+    exact = _int32_signals(f, g, int(lengths[-1]))
+    if exact is not None:
+        (f, g), weights = exact, weights.astype(np.int32)
+        add_rows, prev = _add_int32_rows, np.zeros(period, dtype=np.int32)
+    else:
+        add_rows, prev = _add_complex_rows, np.zeros(period, dtype=np.complex128)
     f_windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([f, f]), period)
     g_windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([g, g]), period)
-    block = max(1, _BLOCK_ELEMENTS // period)
-    running = np.zeros(period, dtype=np.complex128)
-    for start, stop in itertools.pairwise(offsets):
+    rows = max(1, _ROW_ELEMENTS // period)
+    for first in range(0, offsets.size - 1, rows):
+        block = add_rows(f_windows, g_windows, a, b, weights, offsets[first : first + rows + 1], prev)
+        block.setflags(write=False)
+        prev = block[-1]
+        yield block
+
+
+def _int32_signals(f: np.ndarray, g: np.ndarray, n_end: int):
+    """(f, g) as int32 arrays when both are real and integer-valued and
+    max|f| max|g| n_end < 2^31, else None.
+
+    The masses of the classes of n <= n_end add up to at most n_end in
+    absolute value, so under that bound every product, segment sum and
+    running sum fits in int32.
+    """
+    bound = n_end
+    for x in (f, g):
+        if np.iscomplexobj(x):
+            if np.any(x.imag):
+                return None
+            x = x.real
+        if not np.all(np.isfinite(x)) or np.any(x != np.trunc(x)):
+            return None
+        bound *= int(np.max(np.abs(x)))
+    if bound >= 1 << 31:
+        return None
+    return np.real(f).astype(np.int32), np.real(g).astype(np.int32)
+
+
+def _add_int32_rows(f_windows, g_windows, a, b, weights, offsets, prev):
+    """Running int32 sums at the segments of offsets, after prev: the
+    segment sums of the gathered terms, then one in-place add per row."""
+    count = offsets.size - 1
+    lo, hi = int(offsets[0]), int(offsets[-1])
+    sizes = np.diff(offsets)
+    if np.all(sizes == 1):  # one term per row
+        block = f_windows[a[lo:hi]]
+        block *= g_windows[b[lo:hi]]
+        block *= weights[lo:hi, None]
+    else:
+        block = np.zeros((count, prev.size), dtype=np.int32)
+        row_of = np.repeat(np.arange(count), sizes)
+        step = max(1, _ROW_ELEMENTS // prev.size)
+        for start in range(lo, hi, step):
+            stop = min(start + step, hi)
+            terms = f_windows[a[start:stop]]
+            terms *= g_windows[b[start:stop]]
+            terms *= weights[start:stop, None]
+            owner = row_of[start - lo : stop - lo]
+            heads = np.flatnonzero(np.diff(owner, prepend=-1))
+            runs = np.diff(heads, append=stop - start)
+            block[owner[heads[runs == 1]]] += terms[heads[runs == 1]]
+            for first, size in zip(heads[runs > 1], runs[runs > 1]):
+                block[owner[first]] += terms[first : first + size].sum(axis=0, dtype=np.int32)
+    for row in block:
+        np.add(row, prev, out=row)
+        prev = row
+    return block
+
+
+def _add_complex_rows(f_windows, g_windows, a, b, weights, offsets, prev):
+    """Running complex sums at the segments of offsets, after prev, row by
+    row: a one-class segment adds +/- |m| f g, a larger one einsum blocks."""
+    block = np.empty((offsets.size - 1, prev.size), dtype=np.complex128)
+    gather = max(1, _BLOCK_ELEMENTS // prev.size)
+    for row, start, stop in zip(block, offsets[:-1], offsets[1:]):
         if stop == start + 1:  # one class, without einsum's per-call cost
-            step = f_windows[a[start]].copy()
-            step *= g_windows[b[start]]  # in place like prod: out of place, J = 1 rounds apart
+            row[...] = f_windows[a[start]]
+            row *= g_windows[b[start]]  # in place like prod: out of place, J = 1 rounds apart
             m = weights[start]
             if abs(m) != 1:
-                step *= abs(m)
-            # running +/- |m| step: einsum's bits of running + m step for finite signals
-            running = (np.add if m > 0 else np.subtract)(running, step, out=step)
+                row *= abs(m)
+            # prev +/- |m| f g: einsum's bits of prev + m f g for finite signals
+            (np.add if m > 0 else np.subtract)(prev, row, out=row)
         else:
-            for lo in range(start, stop, block):
-                hi = min(lo + block, stop)
+            running = prev
+            for lo in range(start, stop, gather):
+                hi = min(lo + gather, stop)
                 prod = f_windows[a[lo:hi]]
                 prod *= g_windows[b[lo:hi]]
                 running = running + np.einsum("n,nj->j", weights[lo:hi], prod)
-        running.setflags(write=False)
-        yield running
+            row[...] = running
+        prev = row
+    return block

@@ -135,22 +135,33 @@ def band_peaks(
     """Yield m_k(j) = max over members N in band k of |A_N(j) - A_{N_k}(j)|,
     k = 1..band_count, each a fresh J-long float array, from one orbit_sums
     pass over the members N_1..N_{band_count+1}.  Each band keeps its base
-    average and a running max; a band with equal endpoints is zero.
+    average and a running max, taken over the rows of one block of running
+    sums at a time; a band with equal endpoints is zero.
     """
     if not 1 <= band_count <= ladder.band_count:
         raise ValueError(f"band_count {band_count} outside 1..{ladder.band_count}")
     bands = ladder.bands
     members = ladder.members_between(bands[0], bands[band_count])
     sums = folding.orbit_sums(table, p_poly, q_poly, phi.values, psi.values, members)
-    k = 1
-    for n_value, running in zip(members, sums):
-        average = running / n_value
-        if n_value == bands[k - 1]:
-            base, peak = average, np.zeros(phi.period)
-        np.maximum(peak, np.abs(average - base), out=peak)
-        while k <= band_count and n_value == bands[k]:
-            yield peak
-            base, peak, k = average, np.zeros(phi.period), k + 1
+    k, done, peak = 1, 0, None
+    for block in sums:
+        chunk = members[done : done + len(block)]
+        done += len(block)
+        averages = np.divide(block, np.array(chunk)[:, None], dtype=np.complex128)
+        if peak is None:  # the first row is N_1, where band 1 opens
+            base, peak = averages[0], np.zeros(phi.period)
+        closing = np.flatnonzero(np.isin(chunk, bands[k : band_count + 1])).tolist()
+        start = 0
+        # Rows start..end of the open band, end closing it.  The next band
+        # opens at end, where |A_N - A_{N_k}| is zero, so it reads from end + 1.
+        for end in [*closing, len(chunk) - 1]:
+            if start <= end:
+                rise = np.abs(averages[start : end + 1] - base)
+                np.maximum(peak, np.maximum.reduce(rise, axis=0), out=peak)
+            while k <= band_count and chunk[end] == bands[k]:
+                yield peak
+                base, peak, k = averages[end], np.zeros(phi.period), k + 1
+            start = end + 1
 
 
 def band_maximal(
@@ -231,7 +242,8 @@ def global_maximal(
 
     |S_N| only moves at an N with a nonzero weight, so this reads
     folding.orbit_sums at those N: one term per segment, one J-long
-    update per term, O(N J).
+    update per term, O(N J).  Each block of running sums takes one abs
+    and one max; it is divided only where it can raise the peak.
     """
     period = phi.period
     if psi.period != period:
@@ -240,12 +252,15 @@ def global_maximal(
     peak = np.zeros(period, dtype=np.float64)
     lengths = np.flatnonzero(table.values[1 : n_max + 1]) + 1
     if lengths.size:
-        level = np.empty(period, dtype=np.float64)
-        sums = folding.orbit_sums(table, p_poly, q_poly, phi.values, psi.values, lengths)
-        for n_value, running in zip(lengths, sums):
-            np.abs(running, out=level)
-            level /= n_value
-            np.maximum(peak, level, out=peak)
+        done = 0
+        for block in folding.orbit_sums(table, p_poly, q_poly, phi.values, psi.values, lengths):
+            n_values = lengths[done : done + len(block), None]
+            done += len(block)
+            levels = np.abs(block)
+            # Rounding is monotone, so no |S_N| / N of the block can pass a
+            # peak that max |S_N| / (its least N) does not pass.
+            if not np.all(levels.max(axis=0) / n_values[0] <= peak):
+                np.maximum(peak, (levels / n_values).max(axis=0), out=peak)
     return PeriodicSignal(period, peak.astype(np.complex128))
 
 

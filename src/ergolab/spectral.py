@@ -320,8 +320,8 @@ def direct_average_all(
     The sum is folded onto the classes n mod J, so it costs O(N + J^2)
     rather than O(N J).
     """
-    sums = folding.orbit_sums(table, p_poly, q_poly, f.values, g.values, [n_max])
-    return PeriodicSignal(f.period, next(sums) / n_max)
+    (block,) = folding.orbit_sums(table, p_poly, q_poly, f.values, g.values, [n_max])
+    return PeriodicSignal(f.period, np.divide(block[0], n_max, dtype=np.complex128))
 
 
 def l2_norm_of_average(
@@ -359,10 +359,15 @@ def l4_bound_report(
     One folding.orbit_sums pass over the N list gives the running sums S_N
     at every base point, and ||A_N||_2 = sqrt(mean |S_N / N|^2).
     """
-    sums = folding.orbit_sums(table, p_poly, q_poly, f.values, g.values, n_list)
     norm4 = f.norm(4) * g.norm(4)
-    rows = []
-    for n_max, running in zip(n_list, sums):
-        l2 = float(np.sqrt(np.mean(np.abs(running / n_max) ** 2)))
-        rows.append(L4BoundRow(n_max, l2, norm4, l2 / norm4 if norm4 > 0 else 0.0))
-    return rows
+    norms = []
+    done = 0
+    for block in folding.orbit_sums(table, p_poly, q_poly, f.values, g.values, n_list):
+        lengths = np.array(n_list[done : done + len(block)])
+        done += len(block)
+        averages = np.divide(block, lengths[:, None], dtype=np.complex128)
+        norms.extend(np.sqrt(np.mean(np.abs(averages) ** 2, axis=1)).tolist())
+    return [
+        L4BoundRow(n_max, norm, norm4, norm / norm4 if norm4 > 0 else 0.0)
+        for n_max, norm in zip(n_list, norms)
+    ]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -437,26 +438,34 @@ LINE_EDGE_CASES = [
 
 
 @pytest.mark.parametrize("blob", LINE_EDGE_CASES, ids=repr)
-def test_report_csv_lines_match_splitlines(tmp_path, blob):
+def test_report_csv_lines_match_splitlines(tmp_path, monkeypatch, blob):
     path = tmp_path / "edge.csv"
     path.write_bytes(blob)
-    out = tmp_path / "summary.json"
-    assert main(["report", "--inputs", str(path), "--out", str(out)]) == 0
-    (entry,) = json.loads(out.read_text())["results"]["inputs"]
     lines = blob.decode("utf-8", errors="replace").splitlines()
-    assert entry["header"] == (lines[0] if lines else "")
-    assert entry["rows"] == max(len(lines) - 1, 0)
+    # One-byte reads split every "\r\n" and every multi-byte sequence.
+    for chunk in (1, cli._READ_CHUNK):
+        monkeypatch.setattr(cli, "_READ_CHUNK", chunk)
+        out = tmp_path / f"summary{chunk}.json"
+        assert main(["report", "--inputs", str(path), "--out", str(out)]) == 0
+        (entry,) = json.loads(out.read_text())["results"]["inputs"]
+        assert entry["header"] == (lines[0] if lines else "")
+        assert entry["rows"] == max(len(lines) - 1, 0)
+        assert entry["bytes"] == len(blob)
+        assert entry["sha256"] == hashlib.sha256(blob).hexdigest()
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.text(alphabet="ab\r\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
 def test_line_count_matches_splitlines(text):
     lines = text.splitlines()
-    assert cli._first_line_and_count(text) == (lines[0] if lines else "", len(lines))
+    for chunk in (1, max(len(text), 1)):
+        chunks = [text[i : i + chunk] for i in range(0, len(text), chunk)]
+        assert cli._first_line_and_count(chunks) == (lines[0] if lines else "", len(lines))
 
 
 def test_report_memory_stays_near_input_size(tmp_path):
-    # The input is read whole and decoded once; no list of its lines is built.
+    # The input is read, hashed and decoded in fixed-size chunks, so the
+    # peak is a few chunks, not the file; no list of its lines is built.
     csv_path = tmp_path / "sums.csv"
     assert main(["sieve", "--limit", "100000", "--sums", "--out", str(csv_path)]) == 0
     tracemalloc.start()
@@ -465,7 +474,7 @@ def test_report_memory_stays_near_input_size(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * csv_path.stat().st_size, (peak, csv_path.stat().st_size)
+    assert peak <= csv_path.stat().st_size // 2, (peak, csv_path.stat().st_size)
 
 
 def test_repeated_runs_byte_identical(tmp_path):

@@ -24,9 +24,9 @@ from ergolab.dynamics import (
     convergence_trace,
 )
 from ergolab.expsums import RationalAngle, RationalGrid, grid_scan, weighted_poly_sum
-from ergolab.maximal import LacunaryLadder
+from ergolab.maximal import CLASSICAL_P, CLASSICAL_Q, LacunaryLadder, band_peaks, global_maximal
 from ergolab.polynomials import IntPolynomial
-from ergolab.spectral import PeriodicSignal, build_kernels, direct_average_all
+from ergolab.spectral import PeriodicSignal, build_kernels, direct_average_all, l4_bound_report
 from ergolab.weights import WeightKind, WeightTable, sieve, zero_table
 from oracles import naive_bilinear_average, naive_weighted_poly_sum
 
@@ -71,11 +71,12 @@ def test_pm1_running_sums_are_exact(period, table, p_poly, q_poly, seed, checkpo
     checkpoints = sorted(checkpoints)
     f = PeriodicSignal.seeded_pm1(period, seed).values.real.astype(np.int64)
     g = PeriodicSignal.seeded_pm1(period, seed + 1).values.real.astype(np.int64)
-    rows = list(folding.orbit_sums(
+    blocks = list(folding.orbit_sums(
         table, p_poly, q_poly, f.astype(np.complex128), g.astype(np.complex128), checkpoints
     ))
-    assert not any(row.flags.writeable for row in rows)
-    sums = np.array(rows)
+    assert not any(block.flags.writeable for block in blocks)
+    sums = np.concatenate(blocks)
+    assert sums.dtype == np.int32
 
     js = np.arange(period)
     running = np.zeros(period, dtype=np.int64)
@@ -224,3 +225,122 @@ def test_class_masses_memory_per_term():
     finally:
         tracemalloc.stop()
     assert peak < 72 * n_max, peak / n_max
+
+
+integer_tables = st.sampled_from([*(TABLES[kind] for kind in WeightKind), zero_table(N_CAP)])
+
+
+@SETTINGS
+@given(mass_periods, spans, integer_tables, st.sampled_from([1, 2, 3, 5]))
+def test_class_masses_count_terms_in_blocks(period, steps, table, block):
+    # The terms of each wide segment are counted in blocks of the table;
+    # block edges anywhere must not change the counts or the fold.
+    lengths = [n for n in np.cumsum(steps).tolist() if n <= N_CAP] or [N_CAP]
+    ends = np.array([0, *lengths])
+    terms = np.concatenate([[0], np.cumsum(table.values[1:] != 0)])[ends]
+    expected = folding.class_masses(table, period, lengths)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(folding, "_BLOCK_ELEMENTS", block)
+        assert np.array_equal(folding._nonzero_counts(table.values, ends), terms)
+        actual = folding.class_masses(table, period, lengths)
+    for got, want in zip(actual, expected):
+        assert np.array_equal(got, want)
+
+
+def integer_signal(kind, period, seed):
+    """+-1 or small integer values, as complex128 like PeriodicSignal holds."""
+    if kind == "pm1":
+        return PeriodicSignal.seeded_pm1(period, seed).values
+    values = np.random.default_rng(seed).integers(-3, 4, period)
+    return values.astype(np.complex128)
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@SETTINGS
+@given(
+    st.integers(1, 97),
+    integer_tables,
+    polys(max_degree=3),
+    polys(max_degree=3),
+    st.sampled_from(["pm1", "small"]),
+    seeds,
+    # short spans leave segments without terms, long ones fold past the period
+    spans,
+    st.sampled_from([1, 7, folding._ROW_ELEMENTS]),
+)
+def test_int32_path_matches_complex_path(period, table, p_poly, q_poly, kind, seed, steps, rows):
+    lengths = [n for n in np.cumsum(steps).tolist() if n <= N_CAP] or [N_CAP]
+    phi = PeriodicSignal(period, integer_signal(kind, period, seed))
+    psi = PeriodicSignal(period, integer_signal(kind, period, seed + 1))
+    bands = tuple(lengths[::3]) if len(lengths) > 3 else (lengths[0], lengths[-1])
+    ladder = LacunaryLadder(rho=2.0, limit=N_CAP, members=tuple(lengths), bands=bands)
+
+    def run():
+        blocks = list(folding.orbit_sums(table, p_poly, q_poly, phi.values, psi.values, lengths))
+        return (
+            np.concatenate(blocks).astype(np.complex128),
+            global_maximal(phi, psi, p_poly, q_poly, table, lengths[-1]).values,
+            list(band_peaks(phi, psi, p_poly, q_poly, table, ladder, ladder.band_count)),
+            [(row.l2_norm, row.ratio) for row in l4_bound_report(phi, psi, table, p_poly, q_poly, lengths)],
+            direct_average_all(table, p_poly, q_poly, phi, psi, lengths[-1]).values,
+            blocks[0].dtype,
+        )
+
+    with pytest.MonkeyPatch.context() as patch:
+        # 1 and 7 make blocks of one to seven rows and gather a segment's
+        # classes a few at a time.
+        patch.setattr(folding, "_ROW_ELEMENTS", rows)
+        exact = run()
+        patch.setattr(folding, "_int32_signals", lambda f, g, n_end: None)  # complex128 path
+        reference = run()
+    assert exact[-1] == np.int32 and reference[-1] == np.complex128
+    sums, maximal, peaks, l4, direct, _ = exact
+    assert same_bits(sums, reference[0])
+    assert same_bits(maximal, reference[1])
+    assert len(peaks) == len(reference[2])
+    assert all(same_bits(a, b) for a, b in zip(peaks, reference[2]))
+    assert same_bits(np.array(l4), np.array(reference[3]))
+    assert same_bits(direct, reference[4])
+
+
+@pytest.mark.parametrize(
+    "f_value, g_value, dtype",
+    [
+        (2**20, 2**11, np.complex128),  # max|f| max|g| N = 2^31 at N = 1
+        (2**31 - 1, 1, np.int32),
+        (-(2**31 - 1), -1, np.int32),
+        (0.5, 2, np.complex128),
+        (1 + 1j, 1, np.complex128),
+        (np.nan, 1, np.complex128),
+        (np.inf, 0, np.complex128),
+    ],
+)
+def test_int32_path_needs_real_integers_below_2_31(f_value, g_value, dtype):
+    table = TABLES[WeightKind.MOBIUS]  # mu(1) = 1
+    f = np.full(3, f_value, dtype=np.complex128)
+    g = np.full(3, g_value, dtype=np.complex128)
+    (block,) = folding.orbit_sums(table, CLASSICAL_P, CLASSICAL_Q, f, g, [1])
+    assert block.dtype == dtype
+    if dtype == np.int32:
+        assert np.array_equal(block, [[f_value * g_value] * 3])
+
+
+def test_global_maximal_holds_blocks_not_rows():
+    # Every row at J = 512, N = 2^20 would be 0.64e6 x 512 int32 values,
+    # 1.3 GB; a pass holds the fold (its O(N) arrays, about 49 B per n) and
+    # one block of rows.
+    n_max, period = 1 << 20, 512
+    table = sieve(WeightKind.MOBIUS, n_max)
+    phi = PeriodicSignal.seeded_pm1(period, 1)
+    psi = PeriodicSignal.seeded_pm1(period, 2)
+    tracemalloc.start()
+    try:
+        global_maximal(phi, psi, CLASSICAL_P, CLASSICAL_Q, table, n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * n_max, peak / n_max

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergolab import maximal, rng
+from ergolab import folding, maximal, rng
 from ergolab.maximal import (
     CLASSICAL_P,
     CLASSICAL_Q,
@@ -233,12 +233,17 @@ GLOBAL_TABLES = {
     st.integers(1, 400),
     st.sampled_from(["pm1", "complex"]),
     st.integers(0, 2**32 - 1),
+    # rows per block of running sums: blocks whose least N is not their last
+    st.sampled_from([2, 5, None]),
 )
-def test_global_maximal_matches_brute_sup(kind, p_poly, q_poly, period, n_max, signal, seed):
+def test_global_maximal_matches_brute_sup(kind, p_poly, q_poly, period, n_max, signal, seed, rows):
     make = PeriodicSignal.seeded_pm1 if signal == "pm1" else PeriodicSignal.seeded_complex
     phi, psi = make(period, seed), make(period, seed + 1)
     table = GLOBAL_TABLES[kind]
-    result = global_maximal(phi, psi, p_poly, q_poly, table, n_max).values
+    with pytest.MonkeyPatch.context() as patch:
+        if rows:
+            patch.setattr(folding, "_ROW_ELEMENTS", rows * period)
+        result = global_maximal(phi, psi, p_poly, q_poly, table, n_max).values
     expected = brute_global_maximal(phi, psi, p_poly, q_poly, table, n_max)
     assert np.array_equal(result.imag, np.zeros(period))
     if signal == "pm1":
