@@ -557,12 +557,13 @@ def _cmd_maximal(config: dict) -> int:
     psi = PeriodicSignal.seeded_pm1(period, rng.derive_seed(config["seed"], 1))
     p_poly = _poly(config, "poly_p")
     q_poly = _poly(config, "poly_q")
-    try:
-        ladder = maximal.LacunaryLadder.build(config["rho"], 1 << 24, band_count=config["bands"])
-    except ValueError as exc:
-        raise UsageError(f"--rho/--bands: {exc}") from None
-    n_top = config["n_max"] or ladder.bands[-1]
-    mode = config["mode"]
+    mode, n_top = config["mode"], config["n_max"]
+    if mode in ("band", "oscillation") or not n_top:  # the modes that read the ladder
+        try:
+            ladder = maximal.LacunaryLadder.build(config["rho"], 1 << 24, band_count=config["bands"])
+        except ValueError as exc:
+            raise UsageError(f"--rho/--bands: {exc}") from None
+        n_top = n_top or ladder.bands[-1]
     if mode in ("band", "oscillation"):  # one orbit_sums pass over the members
         n_read = ladder.bands[-1]
         spans = np.diff(ladder.members_between(ladder.bands[0], n_read), prepend=0)

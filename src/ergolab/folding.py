@@ -30,10 +30,10 @@ from . import polynomials
 from .polynomials import IntPolynomial
 from .weights import WeightTable
 
-# Elements per gather block of several classes (bounds temporaries to a few MB).
-_BLOCK_ELEMENTS = 1 << 18
-# Elements per block of running sums that orbit_sums yields.
-_ROW_ELEMENTS = 1 << 16
+# Elements per block: of the running sums orbit_sums yields, of its term
+# gathers, of the table _nonzero_counts reads and of the rows of
+# spectral.OffDiagonalKernel.total_degree (bounds temporaries to a few MB).
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def check_length(table: WeightTable, n_max: int) -> None:
@@ -139,17 +139,17 @@ def orbit_sums(
 
     f and g are the J values of two J-periodic signals.  From one
     class_masses pass, each class r of mass m_r adds m_r f(. + P(r))
-    g(. + Q(r)), one J-long gather.  A block holds about _ROW_ELEMENTS
+    g(. + Q(r)), one J-long gather.  A block holds about _BLOCK_ELEMENTS
     elements (at least one row), is read-only and is never written again,
     so a caller may keep it or read the sums block by block in
-    O(_ROW_ELEMENTS + J) memory.
+    O(_BLOCK_ELEMENTS + J) memory.
 
     When f and g are real, integer-valued and max|f| max|g| lengths[-1]
     < 2^31, no running sum can leave int32: the blocks are int32 and every
-    sum is exact by type.  Otherwise they are complex128, each row the
-    previous plus its segment's terms (einsum over blocks of classes where
-    a segment has several).  The order is fixed and BLAS-free, so results
-    do not depend on thread counts.
+    sum is exact by type.  Otherwise they are complex128.  Either way f, g
+    and the masses are cast to that dtype once, and each row is the
+    previous plus its segment's terms, summed in a fixed order without
+    BLAS, so results do not depend on thread counts.
     """
     period = f.size
     if g.size != period:
@@ -157,25 +157,24 @@ def orbit_sums(
     offsets, classes, weights = class_masses(table, period, lengths)
     a = residues(p_poly, period, lengths[-1])[classes]
     b = residues(q_poly, period, lengths[-1])[classes]
-    exact = _int32_signals(f, g, int(lengths[-1]))
-    if exact is not None:
-        (f, g), weights = exact, weights.astype(np.int32)
-        add_rows, prev = _add_int32_rows, np.zeros(period, dtype=np.int32)
-    else:
-        add_rows, prev = _add_complex_rows, np.zeros(period, dtype=np.complex128)
+    dtype = np.complex128
+    if _int32_signals(f, g, int(lengths[-1])):
+        dtype, f, g = np.int32, np.real(f), np.real(g)
+    f, g, weights = (x.astype(dtype, copy=False) for x in (f, g, weights))
     f_windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([f, f]), period)
     g_windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([g, g]), period)
-    rows = max(1, _ROW_ELEMENTS // period)
+    prev = np.zeros(period, dtype=dtype)
+    rows = max(1, _BLOCK_ELEMENTS // period)
     for first in range(0, offsets.size - 1, rows):
-        block = add_rows(f_windows, g_windows, a, b, weights, offsets[first : first + rows + 1], prev)
+        block = _add_rows(f_windows, g_windows, a, b, weights, offsets[first : first + rows + 1], prev)
         block.setflags(write=False)
         prev = block[-1]
         yield block
 
 
-def _int32_signals(f: np.ndarray, g: np.ndarray, n_end: int):
-    """(f, g) as int32 arrays when both are real and integer-valued and
-    max|f| max|g| n_end < 2^31, else None.
+def _int32_signals(f: np.ndarray, g: np.ndarray, n_end: int) -> bool:
+    """Whether f and g are real and integer-valued with
+    max|f| max|g| n_end < 2^31.
 
     The masses of the classes of n <= n_end add up to at most n_end in
     absolute value, so under that bound every product, segment sum and
@@ -185,19 +184,18 @@ def _int32_signals(f: np.ndarray, g: np.ndarray, n_end: int):
     for x in (f, g):
         if np.iscomplexobj(x):
             if np.any(x.imag):
-                return None
+                return False
             x = x.real
         if not np.all(np.isfinite(x)) or np.any(x != np.trunc(x)):
-            return None
+            return False
         bound *= int(np.max(np.abs(x)))
-    if bound >= 1 << 31:
-        return None
-    return np.real(f).astype(np.int32), np.real(g).astype(np.int32)
+    return bound < 1 << 31
 
 
-def _add_int32_rows(f_windows, g_windows, a, b, weights, offsets, prev):
-    """Running int32 sums at the segments of offsets, after prev: the
-    segment sums of the gathered terms, then one in-place add per row."""
+def _add_rows(f_windows, g_windows, a, b, weights, offsets, prev):
+    """Running sums at the segments of offsets, after prev, in prev's
+    dtype: the segment sums of the gathered terms, then one in-place add
+    per row."""
     count = offsets.size - 1
     lo, hi = int(offsets[0]), int(offsets[-1])
     sizes = np.diff(offsets)
@@ -206,9 +204,9 @@ def _add_int32_rows(f_windows, g_windows, a, b, weights, offsets, prev):
         block *= g_windows[b[lo:hi]]
         block *= weights[lo:hi, None]
     else:
-        block = np.zeros((count, prev.size), dtype=np.int32)
+        block = np.zeros((count, prev.size), dtype=prev.dtype)
         row_of = np.repeat(np.arange(count), sizes)
-        step = max(1, _ROW_ELEMENTS // prev.size)
+        step = max(1, _BLOCK_ELEMENTS // prev.size)
         for start in range(lo, hi, step):
             stop = min(start + step, hi)
             terms = f_windows[a[start:stop]]
@@ -219,34 +217,8 @@ def _add_int32_rows(f_windows, g_windows, a, b, weights, offsets, prev):
             runs = np.diff(heads, append=stop - start)
             block[owner[heads[runs == 1]]] += terms[heads[runs == 1]]
             for first, size in zip(heads[runs > 1], runs[runs > 1]):
-                block[owner[first]] += terms[first : first + size].sum(axis=0, dtype=np.int32)
+                block[owner[first]] += terms[first : first + size].sum(axis=0, dtype=prev.dtype)
     for row in block:
         np.add(row, prev, out=row)
-        prev = row
-    return block
-
-
-def _add_complex_rows(f_windows, g_windows, a, b, weights, offsets, prev):
-    """Running complex sums at the segments of offsets, after prev, row by
-    row: a one-class segment adds +/- |m| f g, a larger one einsum blocks."""
-    block = np.empty((offsets.size - 1, prev.size), dtype=np.complex128)
-    gather = max(1, _BLOCK_ELEMENTS // prev.size)
-    for row, start, stop in zip(block, offsets[:-1], offsets[1:]):
-        if stop == start + 1:  # one class, without einsum's per-call cost
-            row[...] = f_windows[a[start]]
-            row *= g_windows[b[start]]  # in place like prod: out of place, J = 1 rounds apart
-            m = weights[start]
-            if abs(m) != 1:
-                row *= abs(m)
-            # prev +/- |m| f g: einsum's bits of prev + m f g for finite signals
-            (np.add if m > 0 else np.subtract)(prev, row, out=row)
-        else:
-            running = prev
-            for lo in range(start, stop, gather):
-                hi = min(lo + gather, stop)
-                prod = f_windows[a[lo:hi]]
-                prod *= g_windows[b[lo:hi]]
-                running = running + np.einsum("n,nj->j", weights[lo:hi], prod)
-            row[...] = running
         prev = row
     return block

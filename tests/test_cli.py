@@ -520,6 +520,18 @@ def test_oversized_ladder_exits_64(monkeypatch, capsys):
     assert "distinct members" in err and "Traceback" not in err
 
 
+def test_global_mode_with_n_max_builds_no_ladder(tmp_path):
+    # rho 1.000001 has more than MAX_LADDER_MEMBERS members below 2^24,
+    # but global mode with --n-max reads no ladder.
+    results = []
+    for rho in ("1.000001", "2"):
+        out = tmp_path / f"global-{rho}.json"
+        argv = ["maximal", "--mode", "global", "--j", "16", "--n-max", "1000", "--rho", rho]
+        assert main(argv + ["--out", str(out)]) == 0
+        results.append(json.loads(out.read_text())["results"])
+    assert results[0] == results[1]
+
+
 @pytest.mark.parametrize(
     "argv, limit",
     [

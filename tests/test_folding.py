@@ -48,19 +48,45 @@ def close(actual, reference):
     return abs(actual - reference) <= 1e-12 * max(1.0, abs(reference))
 
 
+# Elements per block: 1 and 7 split rows over blocks and gather one term at
+# a time, 200 gathers a folded segment's classes several at a time.
+block_elements = st.sampled_from([1, 7, 200, folding._BLOCK_ELEMENTS])
+
+
 @SETTINGS
-@given(periods, lengths, tables, polys(), polys(), seeds, st.integers(0, 63))
-def test_complex_routes_match_oracle(period, n_max, table, p_poly, q_poly, seed, j):
+@given(
+    periods,
+    lengths,
+    tables,
+    polys(),
+    polys(),
+    seeds,
+    st.integers(0, 63),
+    st.sets(lengths, max_size=5),
+    block_elements,
+)
+def test_complex_routes_match_oracle(period, n_max, table, p_poly, q_poly, seed, j, more, block):
     j %= period
     f = PeriodicSignal.seeded_complex(period, seed)
     g = PeriodicSignal.seeded_complex(period, seed + 1)
-    ref = naive_bilinear_average(table.values, p_poly, q_poly, f.values, g.values, period, n_max, j)
-    assert close(direct_average_all(table, p_poly, q_poly, f, g, n_max).values[j], ref)
-    system = CyclicShift(period)
-    assert close(bilinear_average(system, f, g, p_poly, q_poly, table, n_max, j), ref)
+    checkpoints = sorted({n_max, *more})
     ladder = LacunaryLadder.build(2.0, n_max)
-    trace = convergence_trace(system, f, g, p_poly, q_poly, table, ladder, j)
-    last, value = trace.final
+    system = CyclicShift(period)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(folding, "_BLOCK_ELEMENTS", block)
+        sums = np.concatenate(list(folding.orbit_sums(
+            table, p_poly, q_poly, f.values, g.values, checkpoints
+        )))
+        direct = direct_average_all(table, p_poly, q_poly, f, g, n_max).values[j]
+        average = bilinear_average(system, f, g, p_poly, q_poly, table, n_max, j)
+        last, value = convergence_trace(system, f, g, p_poly, q_poly, table, ladder, j).final
+    assert sums.dtype == np.complex128
+    for n, row in zip(checkpoints, sums, strict=True):
+        ref = naive_bilinear_average(table.values, p_poly, q_poly, f.values, g.values, period, n, j)
+        assert close(row[j] / n, ref)
+    ref = naive_bilinear_average(table.values, p_poly, q_poly, f.values, g.values, period, n_max, j)
+    assert close(direct, ref)
+    assert close(average, ref)
     ref_last = naive_bilinear_average(table.values, p_poly, q_poly, f.values, g.values, period, last, j)
     assert close(value, ref_last)
 
@@ -270,9 +296,9 @@ def same_bits(x, y):
     seeds,
     # short spans leave segments without terms, long ones fold past the period
     spans,
-    st.sampled_from([1, 7, folding._ROW_ELEMENTS]),
+    block_elements,
 )
-def test_int32_path_matches_complex_path(period, table, p_poly, q_poly, kind, seed, steps, rows):
+def test_int32_path_matches_complex_path(period, table, p_poly, q_poly, kind, seed, steps, block):
     lengths = [n for n in np.cumsum(steps).tolist() if n <= N_CAP] or [N_CAP]
     phi = PeriodicSignal(period, integer_signal(kind, period, seed))
     psi = PeriodicSignal(period, integer_signal(kind, period, seed + 1))
@@ -291,9 +317,7 @@ def test_int32_path_matches_complex_path(period, table, p_poly, q_poly, kind, se
         )
 
     with pytest.MonkeyPatch.context() as patch:
-        # 1 and 7 make blocks of one to seven rows and gather a segment's
-        # classes a few at a time.
-        patch.setattr(folding, "_ROW_ELEMENTS", rows)
+        patch.setattr(folding, "_BLOCK_ELEMENTS", block)
         exact = run()
         patch.setattr(folding, "_int32_signals", lambda f, g, n_end: None)  # complex128 path
         reference = run()
@@ -327,6 +351,36 @@ def test_int32_path_needs_real_integers_below_2_31(f_value, g_value, dtype):
     assert block.dtype == dtype
     if dtype == np.int32:
         assert np.array_equal(block, [[f_value * g_value] * 3])
+
+
+def real_or_complex_signal(kind, period, seed):
+    values = PeriodicSignal.seeded_complex(period, seed).values
+    return {"float64": values.real, "complex128": values, "integer float64": np.round(3 * values.real)}[kind]
+
+
+signal_dtypes = st.sampled_from(["float64", "complex128", "integer float64"])
+
+
+@SETTINGS
+@given(
+    st.integers(1, 97),
+    tables,
+    polys(max_degree=3),
+    polys(max_degree=3),
+    signal_dtypes,
+    signal_dtypes,
+    seeds,
+    # one-term segments, and a segment 2 < n <= 50 that folds below J = 48
+    st.one_of(spans.map(lambda steps: [n for n in np.cumsum(steps).tolist() if n <= N_CAP] or [N_CAP]),
+              st.just([2, 50])),
+)
+def test_real_and_complex_signals_mix(period, table, p_poly, q_poly, f_kind, g_kind, seed, lengths):
+    f = real_or_complex_signal(f_kind, period, seed)
+    g = real_or_complex_signal(g_kind, period, seed + 1)
+    mixed = np.concatenate(list(folding.orbit_sums(table, p_poly, q_poly, f, g, lengths)))
+    cast = [x.astype(np.complex128) for x in (f, g)]
+    reference = np.concatenate(list(folding.orbit_sums(table, p_poly, q_poly, *cast, lengths)))
+    assert same_bits(mixed, reference)
 
 
 def test_global_maximal_holds_blocks_not_rows():

@@ -242,7 +242,7 @@ def test_global_maximal_matches_brute_sup(kind, p_poly, q_poly, period, n_max, s
     table = GLOBAL_TABLES[kind]
     with pytest.MonkeyPatch.context() as patch:
         if rows:
-            patch.setattr(folding, "_ROW_ELEMENTS", rows * period)
+            patch.setattr(folding, "_BLOCK_ELEMENTS", rows * period)
         result = global_maximal(phi, psi, p_poly, q_poly, table, n_max).values
     expected = brute_global_maximal(phi, psi, p_poly, q_poly, table, n_max)
     assert np.array_equal(result.imag, np.zeros(period))
