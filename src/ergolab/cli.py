@@ -25,15 +25,12 @@ valid JSON).
 from __future__ import annotations
 
 import argparse
-import codecs
-import hashlib
 import json
 import math
 import os
 import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -491,6 +488,8 @@ def _pooled_map(fn, items, threads: int):
     """Order-preserving map; the pool size never affects the output."""
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor  # loads logging; only pools need it
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -629,6 +628,8 @@ def _decoded_chunks(handle, digest) -> Iterator[str]:
     """The text of a binary file, _READ_CHUNK bytes at a time, as
     bytes.decode("utf-8", errors="replace") gives it whole; each chunk of
     bytes also goes to digest."""
+    import codecs
+
     decoder = codecs.getincrementaldecoder("utf-8")(errors="replace")
     while chunk := handle.read(_READ_CHUNK):
         digest.update(chunk)
@@ -659,6 +660,8 @@ def _first_line_and_count(chunks: Iterable[str]) -> tuple[str, int]:
 
 def _cmd_report(config: dict) -> int:
     """aggregate prior outputs into one JSON summary"""
+    import hashlib  # maps OpenSSL's libcrypto; no other command needs it
+
     entries = []
     for path in config["inputs"]:
         digest = hashlib.sha256()

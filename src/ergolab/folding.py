@@ -32,8 +32,9 @@ from .weights import WeightTable
 
 # Elements per block: of the running sums orbit_sums yields, of its term
 # gathers, of the table _nonzero_counts reads and of the rows of
-# spectral.OffDiagonalKernel.total_degree (bounds temporaries to a few MB).
-_BLOCK_ELEMENTS = 1 << 16
+# spectral.OffDiagonalKernel.total_degree.  At 2^15 a block's temporaries
+# stay near 1 MB; 2^14 costs more per-block interpreter time than it saves.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def check_length(table: WeightTable, n_max: int) -> None:
@@ -76,11 +77,18 @@ def class_masses(
     period = min(period, int(bounds[-1]) + 1)
     values = table.values
     # A segment of one n holds at most one term, so it is never folded.
-    wide = np.flatnonzero(spans >= max(period, 2))
-    terms = np.diff(_nonzero_counts(values, np.stack((bounds[wide], bounds[wide + 1]), axis=1)))
+    # wide[k]: bound k opens a wide segment; each distinct end of a wide
+    # segment is counted once, and a wide segment's terms are the count
+    # at its end minus the count at its start, the next distinct end.
+    # Only the folded segments' indices outlive this step.
+    wide = np.append(spans >= max(period, 2), False)
+    ends = wide | np.roll(wide, 1)
+    terms = np.diff(_nonzero_counts(values, bounds[ends]))[wide[ends][:-1]]
+    folded = np.flatnonzero(wide)[terms >= 2]
+    del wide, ends, terms
     sizes, classes, masses = [], [], []
     first = 0
-    for k in np.append(wide[terms.ravel() >= 2], spans.size):
+    for k in np.append(folded, spans.size):
         # Unfolded segments first..k-1 at once: every nonzero n in order.
         lo = int(bounds[first]) + 1
         n = np.flatnonzero(values[lo : bounds[k] + 1]) + lo
@@ -104,24 +112,23 @@ def class_masses(
 
 
 def _nonzero_counts(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """#{1 <= n <= x : values[n] != 0} for every x in ends, whose entries
-    must not decrease in row-major order; same shape as ends.
+    """#{1 <= n <= x : values[n] != 0} for every x in ends, which must not
+    decrease, as int32 (every table stays below the 2e8 sieve cap).
 
     The table is counted in blocks of _BLOCK_ELEMENTS n, with a running
     count only in blocks that hold some x, so the scratch is O(block),
     never a per-n array of the whole table.
     """
-    flat = ends.ravel()
-    counts = np.zeros(flat.size, dtype=np.int64)
-    total, i = 0, np.searchsorted(flat, 1)  # x = 0 counts nothing
-    for lo in range(1, int(flat[-1]) + 1 if flat.size else 1, _BLOCK_ELEMENTS):
+    counts = np.zeros(ends.size, dtype=np.int32)
+    total, i = 0, np.searchsorted(ends, 1)  # x = 0 counts nothing
+    for lo in range(1, int(ends[-1]) + 1 if ends.size else 1, _BLOCK_ELEMENTS):
         block = values[lo : lo + _BLOCK_ELEMENTS]
-        j = np.searchsorted(flat, lo + block.size)
+        j = np.searchsorted(ends, lo + block.size)
         if j > i:
-            running = np.cumsum(block != 0, dtype=np.int64)
-            counts[i:j] = total + running[flat[i:j] - lo]
+            running = np.cumsum(block != 0, dtype=np.int32)
+            counts[i:j] = total + running[ends[i:j] - lo]
         total, i = total + np.count_nonzero(block), j
-    return counts.reshape(ends.shape)
+    return counts
 
 
 def orbit_sums(

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -317,6 +319,30 @@ def test_spectral_check_deterministic_across_threads(tmp_path):
     assert payload["status"] == "ok"
     assert payload["results"]["max_conv_error"] <= payload["tolerances"]["conv_rtol"]
     assert payload["config"]["seed"] == 7
+
+
+def test_spectral_check_loads_the_pool_only_with_threads(tmp_path):
+    # Only report hashes (hashlib maps OpenSSL's libcrypto) and only
+    # --threads > 1 starts a pool (concurrent.futures loads logging):
+    # together about 4 MB of child RSS that no other run should pay.  At
+    # --threads 1 neither import ergolab.cli nor the run loads any of them.
+    code = (
+        "import sys; from ergolab.cli import main; code = main(sys.argv[1:]); "
+        "print(code, *sorted({'hashlib', '_hashlib', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = ["spectral-check", "--j", "64", "--n", "500", "--seed", "3", "--trials", "3"]
+    out = tmp_path / "check.json"
+    runs = {}
+    for threads in ("1", "2"):
+        argv = [sys.executable, "-c", code, *args, "--threads", threads, "--out", str(out)]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        runs[threads] = (done.stdout.split(), out.read_bytes())
+    assert runs["1"][0] == ["0"]
+    assert runs["2"][0] == ["0", "concurrent.futures"]
+    # The worker count sits in the embedded config and nowhere else.
+    assert runs["2"][1] == runs["1"][1].replace(b'"threads": 1', b'"threads": 2')
 
 
 def test_spectral_check_injected_fault_exits_2(tmp_path):

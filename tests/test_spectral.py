@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,31 @@ def test_total_degree_rejects_other_periods():
     kernel = _random_particles(8, 4, 1)
     with pytest.raises(ValueError):
         kernel.total_degree(np.ones(8), np.ones(16))
+
+
+@pytest.mark.parametrize(
+    "period, weight, p_poly, q_poly",
+    [(1024, "liouville_100k", IntPolynomial((0, 1, 0, 1)), NEG_LINEAR), (2048, "mobius_100k", SQUARE, LINEAR)],
+)
+def test_both_routes_hold_under_2_mib(period, weight, p_poly, q_poly, request):
+    # The two spectral-check routes at the benchmark's sizes, N = 1e5, each
+    # hold O(block + J) scratch: 1.1 to 1.7 MiB with blocks of 2^15 elements.
+    table = request.getfixturevalue(weight)
+    n = table.limit
+    _, _, l_kernel = build_kernels(table, p_poly, q_poly, n, period)
+    f = PeriodicSignal.seeded_complex(period, 1)
+    g = PeriodicSignal.seeded_complex(period, 2)
+    for route in (
+        lambda: l_kernel.total_degree(f.values, g.values),
+        lambda: direct_average_all(table, p_poly, q_poly, f, g, n),
+    ):
+        tracemalloc.start()
+        try:
+            route()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak
 
 
 def test_spectral_equals_direct_trivial_cases(mobius_100k):
