@@ -500,7 +500,7 @@ def _cmd_spectral_check(config: dict) -> int:
     p_poly = _poly(config, "poly_p")
     q_poly = _poly(config, "poly_q")
     table = run_sieve(_WEIGHTS[config["weight"]], n_max)
-    _, _, l_kernel = spectral.build_kernels(table, p_poly, q_poly, n_max, period)
+    l_kernel = spectral.build_kernels(table, p_poly, q_poly, n_max, period)
 
     def one_trial(index: int) -> dict:
         f = PeriodicSignal.seeded_complex(period, rng.derive_seed(config["seed"], 2 * index))

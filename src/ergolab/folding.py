@@ -107,7 +107,11 @@ def class_masses(
             masses.append(column[classes[-1]])
             sizes.append([classes[-1].size])
         first = k + 1
-    offsets = np.cumsum(np.concatenate([[0], *sizes]))
+    offsets = np.zeros(spans.size + 1, dtype=np.int64)
+    np.concatenate(sizes, out=offsets[1:])
+    np.cumsum(offsets, out=offsets)
+    if len(classes) == 1:  # nothing folded: one run, returned without a copy
+        return offsets, classes[0], masses[0]
     return offsets, np.concatenate(classes), np.concatenate(masses)
 
 

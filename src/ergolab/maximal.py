@@ -65,10 +65,11 @@ class LacunaryLadder:
         exceeds the last member: the next exponent if it does, else a log
         estimate corrected one exponent at a time until exact, so members
         match the power-by-power definition.
-        More than MAX_LADDER_MEMBERS distinct members raise ValueError.
+        A non-finite rho, rho <= 1 and more than MAX_LADDER_MEMBERS distinct
+        members raise ValueError.
         """
-        if rho <= 1.0:
-            raise ValueError("rho must exceed 1")
+        if not math.isfinite(rho) or rho <= 1.0:
+            raise ValueError("rho must be finite and exceed 1")
         if limit < 1:
             raise ValueError("limit must be at least 1")
         log_rho = math.log1p(rho - 1.0)

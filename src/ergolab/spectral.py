@@ -24,13 +24,13 @@ via A_N(j) = sum_s c[s] e^{2 pi i s j / J}, where the total-degree spectrum
 is c[s] = sum_k F(f)(k) F(g)(s-k) D[N][k][s-k].  Three routes compute A_N:
 
 - the direct route, folding.orbit_sums;
-- the explicit D: d_coefficients builds the J x J matrix, the 2-d
-  transform of one particle per class r = n mod J with mass m_r / N at
-  (P(r), Q(r)), where m_r are the class masses of ergolab.folding, and
-  spectral_average_all contracts it;
-- the blocked c: OffDiagonalKernel.total_degree reads the same particles,
-  moved to (P(r) - Q(r), Q(r)) by build_kernels, row by row and never
-  builds D; spectral-check takes this route.
+- the blocked c: build_kernels puts one particle per class r = n mod J,
+  of mass m_r / N, at (P(r) - Q(r), Q(r)), where m_r are the class masses
+  of ergolab.folding; OffDiagonalKernel.total_degree reads it row by row
+  and never builds D.  spectral-check takes this route;
+- the explicit D: d_coefficients shears the same particles back to
+  (P(r), Q(r)) and returns their 2-d transform, the J x J array D, which
+  spectral_average_all contracts.
 
 All three start from those class masses, which the test suite checks
 against plain per-n loops; past that they are independent code paths and
@@ -139,45 +139,24 @@ def idft(spectrum: Spectrum) -> PeriodicSignal:
     return PeriodicSignal(spectrum.period, np.fft.ifft(spectrum.coeffs) * spectrum.period)
 
 
-@dataclass
-class DCoefficients:
-    """Matrix D[k][l] of weighted character sums; |D[k][l]| <= 1."""
-
-    period: int
-    length: int
-    matrix: np.ndarray
-
-
 def d_coefficients(
     table: WeightTable,
     p_poly: IntPolynomial,
     q_poly: IntPolynomial,
     n_max: int,
     period: int,
-) -> DCoefficients:
-    """All J^2 coefficients in O(N + J^2 log J).
+) -> np.ndarray:
+    """The J x J array D[k][l] of weighted character sums, |D[k][l]| <= 1,
+    in O(N + J^2 log J).
 
-    D is the transform of the particles of build_kernels lifted to
-    (P(r), Q(r)); phases are exact because the residues are computed with
-    modular Horner evaluation.
+    D is the transform of the particles of build_kernels sheared back from
+    (u, v) = (P(r) - Q(r), Q(r)) to ((u + v) mod J, v) = (P(r), Q(r));
+    phases are exact because the residues are computed with modular Horner
+    evaluation.
     """
-    k_p, k_q, _ = build_kernels(table, p_poly, q_poly, n_max, period)
-    matrix = OffDiagonalKernel(period, k_p.positions, k_q.positions, k_p.masses).transform()
-    return DCoefficients(period=period, length=n_max, matrix=matrix)
-
-
-@dataclass
-class DiagonalKernel:
-    """Signed particle masses on Z/JZ: one particle per class n mod J."""
-
-    period: int
-    positions: np.ndarray
-    masses: np.ndarray
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.period, dtype=np.float64)
-        np.add.at(out, self.positions, self.masses)
-        return out
+    kernel = build_kernels(table, p_poly, q_poly, n_max, period)
+    rows = (kernel.rows + kernel.cols) % period
+    return OffDiagonalKernel(period, rows, kernel.cols, kernel.masses).transform()
 
 
 @dataclass
@@ -266,45 +245,37 @@ def build_kernels(
     q_poly: IntPolynomial,
     n_max: int,
     period: int,
-) -> tuple[DiagonalKernel, DiagonalKernel, OffDiagonalKernel]:
-    """(K_P, K_Q, L): one particle per class r = n mod J of mass m_r / N,
-    at P(r) in K_P, at Q(r) in K_Q and at (P(r)-Q(r), Q(r)) in L.
+) -> OffDiagonalKernel:
+    """L: one particle per class r = n mod J of mass m_r / N at
+    (P(r) - Q(r), Q(r)).
 
     The 2-d transform of L reproduces the D matrix along fixed-total
     slices: transform(L)[k, s] == D[k][(s-k) mod J], and L.total_degree
     gives the total-degree spectrum c without either.
     """
     _, classes, masses = folding.class_masses(table, period, [n_max])
-    w = masses / n_max
     a = folding.residues(p_poly, period, n_max)[classes]
     b = folding.residues(q_poly, period, n_max)[classes]
-    k_p = DiagonalKernel(period, a, w)
-    k_q = DiagonalKernel(period, b, w.copy())
-    l_kernel = OffDiagonalKernel(period, (a - b) % period, b, w.copy())
-    return k_p, k_q, l_kernel
+    return OffDiagonalKernel(period, (a - b) % period, b, masses / n_max)
 
 
-def _total_degree_spectrum(
-    f_spec: Spectrum, g_spec: Spectrum, coeffs: DCoefficients
-) -> np.ndarray:
+def _total_degree_spectrum(f_spec: Spectrum, g_spec: Spectrum, coeffs: np.ndarray) -> np.ndarray:
     """c[s] = sum_k F(f)(k) F(g)(s-k) D[k][s-k]; regrouping by s = k + l."""
-    if not f_spec.period == g_spec.period == coeffs.period:
+    j = coeffs.shape[0]
+    if not f_spec.period == g_spec.period == j:
         raise ValueError("spectra and coefficients must share one period")
-    j = coeffs.period
     ff, fg = f_spec.coeffs, g_spec.coeffs
     total = np.zeros(j, dtype=np.complex128)
     for k in range(j):
-        total += ff[k] * np.roll(fg * coeffs.matrix[k], k)
+        total += ff[k] * np.roll(fg * coeffs[k], k)
     return total
 
 
-def spectral_average_all(
-    f_spec: Spectrum, g_spec: Spectrum, coeffs: DCoefficients
-) -> PeriodicSignal:
-    """A_N at every j through the Fourier route: one inverse transform of
-    the total-degree spectrum."""
+def spectral_average_all(f_spec: Spectrum, g_spec: Spectrum, coeffs: np.ndarray) -> PeriodicSignal:
+    """A_N at every j through the Fourier route from D: one inverse
+    transform of the total-degree spectrum."""
     total = _total_degree_spectrum(f_spec, g_spec, coeffs)
-    return idft(Spectrum(coeffs.period, total))
+    return idft(Spectrum(coeffs.shape[0], total))
 
 
 def direct_average_all(
@@ -324,9 +295,7 @@ def direct_average_all(
     return PeriodicSignal(f.period, np.divide(block[0], n_max, dtype=np.complex128))
 
 
-def l2_norm_of_average(
-    f_spec: Spectrum, g_spec: Spectrum, coeffs: DCoefficients
-) -> float:
+def l2_norm_of_average(f_spec: Spectrum, g_spec: Spectrum, coeffs: np.ndarray) -> float:
     """Squared normalized l2 norm of A_N from the spectral side:
     sum_s |sum_k F(f)(k) F(g)(s-k) D[k][s-k]|^2.
 

@@ -171,18 +171,17 @@ def spectral_matrix(mobius_2p20, liouville_1e6):
         square_direct = float(np.mean(np.abs(direct.values) ** 2))
         square_error = abs(square_spec - square_direct) / max(1.0, square_direct)
 
-        _, _, l_kernel = build_kernels(table, config["p"], config["q"], length, period)
+        l_kernel = build_kernels(table, config["p"], config["q"], length, period)
         transformed = l_kernel.transform()
         kernel_error = 0.0
-        k_range = np.arange(period)
-        d_scale = max(1.0, float(np.max(np.abs(coeffs.matrix))))
-        for s in range(period):
-            dslice = coeffs.matrix[k_range, (s - k_range) % period]
-            gap = float(np.max(np.abs(transformed[:, s] - dslice)))
+        d_scale = max(1.0, float(np.max(np.abs(coeffs))))
+        # transform(L)[k, s] == D[k][(s - k) mod J], row k of D rolled by k
+        for k in range(period):
+            gap = float(np.max(np.abs(transformed[k] - np.roll(coeffs[k], k))))
             if gap > kernel_error:
                 kernel_error = gap
         kernel_error /= d_scale
-        assert float(np.max(np.abs(coeffs.matrix))) <= 1.0 + 1e-12
+        assert float(np.max(np.abs(coeffs))) <= 1.0 + 1e-12
 
         rows.append(
             {

@@ -171,11 +171,14 @@ def test_weighted_poly_sum_with_denominator_past_int64():
 def test_kernels_match_per_n_tables(period, n_max, table, p_poly, q_poly):
     w = table.values[1 : n_max + 1] / n_max
     a, b = per_n(p_poly, n_max, period), per_n(q_poly, n_max, period)
-    k_p, k_q, l_kernel = build_kernels(table, p_poly, q_poly, n_max, period)
-    for kernel, positions in ((k_p, a), (k_q, b)):
-        expected = np.zeros(period)
-        np.add.at(expected, positions, w)
-        assert np.max(np.abs(kernel.dense() - expected)) <= 1e-15
+    l_kernel = build_kernels(table, p_poly, q_poly, n_max, period)
+    # L's marginals: its particles at P(r) = (u + v) mod J and at Q(r) = v
+    sheared = (l_kernel.rows + l_kernel.cols) % period
+    for positions, per_n_positions in ((sheared, a), (l_kernel.cols, b)):
+        marginal, expected = np.zeros(period), np.zeros(period)
+        np.add.at(marginal, positions, l_kernel.masses)
+        np.add.at(expected, per_n_positions, w)
+        assert np.max(np.abs(marginal - expected)) <= 1e-15
     expected = np.zeros((period, period))
     np.add.at(expected, ((a - b) % period, b), w)
     assert np.max(np.abs(l_kernel.dense() - expected)) <= 1e-15
@@ -251,6 +254,23 @@ def test_class_masses_memory_per_term():
     finally:
         tracemalloc.stop()
     assert peak < 72 * n_max, peak / n_max
+
+
+@pytest.mark.parametrize("period", [1, 2, 512, 4096])
+def test_class_masses_returns_an_unfolded_run_without_copies(period, mobius_1m):
+    # Global-mode lengths, every nonzero n <= 2^20: no segment folds, so
+    # the entries are one run.  Its classes and masses are returned as
+    # built and offsets is one cumsum in place: 7 int64 arrays of one
+    # element per segment at the peak (56 B), plus a fixed 64 KiB for
+    # Python objects.
+    lengths = np.flatnonzero(mobius_1m.values[1:]) + 1
+    tracemalloc.start()
+    try:
+        folding.class_masses(mobius_1m, period, lengths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 56 * lengths.size + (1 << 16), peak / lengths.size
 
 
 @pytest.mark.parametrize("period", [1, 2])

@@ -67,6 +67,12 @@ def test_ladder_validation():
         ladder.band(4)
 
 
+@pytest.mark.parametrize("rho", [math.inf, -math.inf, math.nan])
+def test_ladder_rejects_non_finite_rho(rho):
+    with pytest.raises(ValueError, match="finite"):
+        LacunaryLadder.build(rho, 100)
+
+
 def test_band_maximal_single_member_band(mobius_100k):
     ladder = LacunaryLadder.build(4.0, 256)
     # Band [4, 16] of the rho=4 ladder contains members 4 and 16; squeeze a

@@ -11,7 +11,6 @@ from ergolab.dynamics import CyclicShift, bilinear_average
 from ergolab.polynomials import IntPolynomial
 from ergolab.spectral import (
     SQUARE_IDENTITY_RTOL,
-    DCoefficients,
     OffDiagonalKernel,
     PeriodicSignal,
     Spectrum,
@@ -72,13 +71,13 @@ def test_norms():
 def test_d_coefficients_period_one(mobius_100k):
     coeffs = d_coefficients(mobius_100k, SQUARE, LINEAR, 5000, 1)
     expected = partial_sum(mobius_100k, 5000) / 5000
-    assert abs(coeffs.matrix[0, 0] - expected) < 1e-12
+    assert abs(coeffs[0, 0] - expected) < 1e-12
 
 
 def test_d_coefficients_zero_mode_is_weighted_mean(mobius_100k):
     coeffs = d_coefficients(mobius_100k, SQUARE, LINEAR, 3000, 64)
     expected = partial_sum(mobius_100k, 3000) / 3000
-    assert abs(coeffs.matrix[0, 0] - expected) < 1e-12
+    assert abs(coeffs[0, 0] - expected) < 1e-12
 
 
 def test_d_coefficients_match_naive_summation(mobius_100k):
@@ -88,38 +87,41 @@ def test_d_coefficients_match_naive_summation(mobius_100k):
         reference = naive_d_coefficient(
             mobius_100k.values, SQUARE, LINEAR, 1000, 64, int(k), int(l)
         )
-        assert abs(coeffs.matrix[int(k), int(l)] - reference) < 1e-12
+        assert abs(coeffs[int(k), int(l)] - reference) < 1e-12
 
 
 def test_d_coefficients_bounded_by_one(mobius_100k, liouville_100k):
     for table in (mobius_100k, liouville_100k):
         coeffs = d_coefficients(table, SQUARE, NEG_LINEAR, 2000, 128)
-        assert np.max(np.abs(coeffs.matrix)) <= 1.0 + 1e-12
+        assert np.max(np.abs(coeffs)) <= 1.0 + 1e-12
 
 
 def test_kernels_single_summand(mobius_100k):
-    k_p, k_q, l_kernel = build_kernels(mobius_100k, SQUARE, LINEAR, 1, 32)
-    dense = k_p.dense()
-    assert dense[1 % 32] == 1.0  # P(1) = 1, mass nu(1)/1 = +1
-    assert np.count_nonzero(dense) == 1
+    l_kernel = build_kernels(mobius_100k, SQUARE, LINEAR, 1, 32)
+    # L's marginals: the particles at P(r) = (u + v) mod J and at Q(r) = v
+    for positions in ((l_kernel.rows + l_kernel.cols) % 32, l_kernel.cols):
+        dense = np.zeros(32)
+        np.add.at(dense, positions, l_kernel.masses)
+        assert dense[1 % 32] == 1.0  # P(1) = Q(1) = 1, mass nu(1)/1 = +1
+        assert np.count_nonzero(dense) == 1
     assert l_kernel.total_mass() == pytest.approx(1.0)
 
 
 def test_kernel_total_mass_is_partial_mean(mobius_100k):
     n = 4000
-    _, _, l_kernel = build_kernels(mobius_100k, SQUARE, LINEAR, n, 64)
+    l_kernel = build_kernels(mobius_100k, SQUARE, LINEAR, n, 64)
     assert l_kernel.total_mass() == pytest.approx(partial_sum(mobius_100k, n) / n)
 
 
 def test_kernel_transform_reproduces_coefficient_slices(mobius_100k):
     j = 32
     coeffs = d_coefficients(mobius_100k, SQUARE, LINEAR, 500, j)
-    _, _, l_kernel = build_kernels(mobius_100k, SQUARE, LINEAR, 500, j)
+    l_kernel = build_kernels(mobius_100k, SQUARE, LINEAR, 500, j)
     transformed = l_kernel.transform()
-    k = np.arange(j)
+    # transform(L)[k, s] == D[k][(s - k) mod J], row k of D rolled by k
     worst = 0.0
-    for s in range(j):
-        worst = max(worst, np.max(np.abs(transformed[:, s] - coeffs.matrix[k, (s - k) % j])))
+    for k in range(j):
+        worst = max(worst, np.max(np.abs(transformed[k] - np.roll(coeffs[k], k))))
     assert worst < 1e-12
 
 
@@ -179,7 +181,7 @@ def test_total_degree_matches_explicit_d(period, n, table, p_poly, q_poly, seed,
     # n below the period leaves every n its own class.
     f = PeriodicSignal.seeded_complex(period, seed)
     g = PeriodicSignal.seeded_complex(period, seed + 1)
-    _, _, l_kernel = build_kernels(table, p_poly, q_poly, n, period)
+    l_kernel = build_kernels(table, p_poly, q_poly, n, period)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(folding, "_BLOCK_ELEMENTS", block)
         got = l_kernel.total_degree(f.values, g.values)
@@ -203,7 +205,7 @@ def test_both_routes_hold_under_2_mib(period, weight, p_poly, q_poly, request):
     # hold O(block + J) scratch: 1.1 to 1.7 MiB with blocks of 2^15 elements.
     table = request.getfixturevalue(weight)
     n = table.limit
-    _, _, l_kernel = build_kernels(table, p_poly, q_poly, n, period)
+    l_kernel = build_kernels(table, p_poly, q_poly, n, period)
     f = PeriodicSignal.seeded_complex(period, 1)
     g = PeriodicSignal.seeded_complex(period, 2)
     for route in (
