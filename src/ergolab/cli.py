@@ -34,13 +34,17 @@ from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import __version__, dynamics, expsums, maximal, rng, spectral
-from .expsums import RationalAngle, RationalGrid, grid_maxima, grid_scan, short_interval_sum
-from .polynomials import IntPolynomial, parse_poly
-from .spectral import TOLERANCES, PeriodicSignal
-from .weights import CapacityError, WeightKind, check_capacity, sieve as run_sieve
+# numpy and the numerical layers are imported by the commands that use
+# them: report and a usage error load neither, and sieve loads weights only.
+from . import __version__
+from .limits import (
+    MAX_CHECK_PERIOD,
+    MAX_CYCLIC_PERIOD,
+    MAX_GRID_DENOMINATOR,
+    TOLERANCES,
+    CapacityError,
+    check_capacity,
+)
 
 USAGE_EXIT = 64
 
@@ -63,8 +67,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); 2 means invariant here
         raise UsageError(message)
 
-
-_WEIGHTS = {"mobius": WeightKind.MOBIUS, "liouville": WeightKind.LIOUVILLE}
 
 _BOOL_STRINGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -102,7 +104,7 @@ class _Option:
 # argparse form of the flags that do not take one string
 _FLAG_FORMS = {_to_bool: {"action": "store_true"}, _to_list: {"nargs": "+"}}
 
-_WEIGHT = _Option("mobius", choices=tuple(sorted(_WEIGHTS)))
+_WEIGHT = _Option("mobius", choices=("liouville", "mobius"))  # weights.WeightKind values
 _SEED = _Option(0, int)
 _RHO = _Option(2.0, float)
 _OUT = _Option(help="output file path")
@@ -123,7 +125,7 @@ _OPTIONS: dict[str, dict[str, _Option]] = {
         "weight": _WEIGHT,
         "poly": _Option("0,1", help='phase polynomial "c0,c1,..."'),
         "n_max": _Option(10000, int),
-        "grid_den": _Option(4096, int, high=expsums.MAX_GRID_DENOMINATOR),
+        "grid_den": _Option(4096, int, high=MAX_GRID_DENOMINATOR),
         "n_list": _Option("1024,4096,16384", help="comma-separated lengths (profile mode)"),
         "start": _Option(10000, int, "window start (short mode)"),
         "span": _Option(1000, int, "window span (short mode)"),
@@ -148,7 +150,7 @@ _OPTIONS: dict[str, dict[str, _Option]] = {
         "threads": _THREADS,
     },
     "spectral-check": {
-        "j": _Option(256, int, low=1, high=spectral.MAX_CHECK_PERIOD),
+        "j": _Option(256, int, low=1, high=MAX_CHECK_PERIOD),
         "n": _Option(1000, int, low=1),
         "poly_p": _Option("0,0,1"),
         "poly_q": _Option("0,1"),
@@ -163,7 +165,7 @@ _OPTIONS: dict[str, dict[str, _Option]] = {
     },
     "maximal": {
         "mode": _Option("oscillation", choices=("band", "global", "weaktype", "oscillation")),
-        "j": _Option(1024, int, low=1, high=dynamics.MAX_CYCLIC_PERIOD),
+        "j": _Option(1024, int, low=1, high=MAX_CYCLIC_PERIOD),
         "rho": _RHO,
         "bands": _Option(10, int, low=1),
         "n_max": _Option(0, int, "0: use the last band endpoint", low=0),
@@ -306,7 +308,10 @@ def _lengths(text) -> list[int]:
     return lengths
 
 
-def _poly(config: dict, key: str) -> IntPolynomial:
+def _poly(config: dict, key: str):
+    """The IntPolynomial that option key spells."""
+    from .polynomials import parse_poly
+
     try:
         return parse_poly(config[key])
     except ValueError as exc:
@@ -354,24 +359,107 @@ def _write_csv(path: str | None, header: str, columns) -> None:
 def _write_rows(out, columns) -> None:
     """One line per row of the equal-length columns (numpy arrays, ranges,
     lists or tuples), _CSV_BLOCK_ROWS at a time; a cell prints as str() of
-    its Python value."""
+    its Python value.  When every column is a range or an integer array,
+    each block is written by _integer_rows; otherwise by str.format, which
+    float cells need for their repr."""
+    import numpy as np
+
+    integer = all(_is_integer(column) for column in columns)
     line = ",".join(["{}"] * len(columns)) + "\n"
     for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
         cells = [column[start : start + _CSV_BLOCK_ROWS] for column in columns]
+        if integer:
+            out.write(_integer_rows(cells))
+            continue
         cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in cells]
         out.write("".join(map(line.format, *cells)))
 
 
-def _re_im_abs(values: np.ndarray) -> list[np.ndarray]:
+def _is_integer(column) -> bool:
+    """True for a range and an integer numpy array."""
+    dtype = getattr(column, "dtype", None)
+    return isinstance(column, range) or dtype is not None and dtype.kind in "iu"
+
+
+def _integer_rows(cells) -> str:
+    """The CSV lines of one block of integer columns (ranges or integer
+    arrays), each cell as str() writes it.
+
+    The block becomes one uint8 matrix, a row per line and a column per
+    character.  Each CSV column is a field as wide as its longest cell,
+    then its separator.  Digits fill a field from the right, one floor
+    division by 10 each (in uint32 when every magnitude fits), a "-" goes
+    just left of each negative cell's digits, and a mask keeps what was
+    written: one boolean compress of the matrix is the text, row by row.
+    """
+    import numpy as np
+
+    rows = len(cells[0])
+    fields = []
+    for cell in cells:
+        if isinstance(cell, range):
+            cell = np.arange(cell.start, cell.stop, cell.step, dtype=np.int64)
+        magnitude = cell.astype(np.uint64)  # a negative wraps to 2^64 - |cell|
+        negative = cell < 0 if cell.dtype.kind == "i" else None
+        if negative is not None and negative.any():
+            np.negative(magnitude, out=magnitude, where=negative)
+        else:
+            negative = None
+        top = int(magnitude.max()) if rows else 0
+        if top < 1 << 32:
+            magnitude = magnitude.astype(np.uint32)
+        fields.append((magnitude, negative, len(str(top))))
+    width = sum(digits + (negative is not None) + 1 for _, negative, digits in fields)
+    text = np.empty((rows, width), dtype=np.uint8)
+    keep = np.ones((rows, width), dtype=bool)
+    end = -1  # the separator column of the field before
+    for q, negative, digits in fields:
+        start, end = end + 1, end + 1 + digits + (negative is not None)
+        count = np.ones(rows, dtype=np.intp)  # digits of each cell
+        for k in range(digits):  # units first; q holds magnitude // 10^k
+            column = end - 1 - k
+            if k:  # a leading zero where q is 0
+                np.not_equal(q, 0, out=keep[:, column])
+                count += keep[:, column]
+            quotient = q // 10
+            text[:, column] = q - quotient * 10 + ord("0")
+            q = quotient
+        if negative is not None:  # the sign column is kept only for a "-"
+            keep[:, start] = False
+            at = np.flatnonzero(negative) * width + (end - 1 - count[negative])
+            text.ravel()[at] = ord("-")
+            keep.ravel()[at] = True
+        text[:, end] = ord(",")
+    text[:, -1] = ord("\n")
+    return text[keep].tobytes().decode("ascii")
+
+
+def _re_im_abs(values) -> list:
+    import numpy as np
+
     # abs(complex) is hypot(re, im); numpy's complex abs can differ in the last digit
     return [values.real, values.imag, np.hypot(values.real, values.imag)]
+
+
+def run_sieve(kind, limit: int):
+    """weights.sieve, looked up when called; every command sieves here."""
+    from . import weights
+
+    return weights.sieve(kind, limit)
+
+
+def _table(config: dict, limit: int):
+    """The table of config's --weight for n <= limit."""
+    from .weights import WeightKind
+
+    return run_sieve(WeightKind(config["weight"]), limit)
 
 
 # ------------------------------------------------------------ subcommands --
 
 def _cmd_sieve(config: dict) -> int:
     """write sieved weight values as CSV"""
-    table = run_sieve(_WEIGHTS[config["weight"]], config["limit"])
+    table = _table(config, config["limit"])
     header, columns = "n,value", [range(1, table.limit + 1), table.values[1:]]
     if config["sums"]:
         header, columns = header + ",partial_sum", [*columns, table.cumulative()[1:]]
@@ -381,6 +469,10 @@ def _cmd_sieve(config: dict) -> int:
 
 def _cmd_expsum(config: dict) -> int:
     """weighted polynomial exponential sums"""
+    import numpy as np
+
+    from .expsums import RationalAngle, RationalGrid, grid_maxima, grid_scan, short_interval_sum
+
     poly = _poly(config, "poly")
     mode = config["mode"]
     if mode == "profile":
@@ -390,7 +482,7 @@ def _cmd_expsum(config: dict) -> int:
         limit = config["n_max"]
     else:
         limit = config["start"] + config["span"]
-    table = run_sieve(_WEIGHTS[config["weight"]], limit)
+    table = _table(config, limit)
     if mode == "scan":
         grid = RationalGrid(config["grid_den"])
         values = grid_scan(table, poly, grid, config["n_max"])
@@ -421,6 +513,8 @@ def _cmd_expsum(config: dict) -> int:
 
 
 def _parse_system(spec: str):
+    from . import dynamics
+
     kind, _, rest = spec.partition(":")
     try:
         if kind == "cyclic":
@@ -434,6 +528,9 @@ def _parse_system(spec: str):
 
 
 def _parse_observable(spec: str, system):
+    from . import dynamics
+    from .spectral import PeriodicSignal
+
     kind, _, rest = spec.partition(":")
     try:
         if isinstance(system, dynamics.CyclicShift):
@@ -461,6 +558,8 @@ def _parse_observable(spec: str, system):
 
 def _cmd_average(config: dict) -> int:
     """bilinear averages along a lacunary ladder"""
+    from . import dynamics, maximal, rng
+
     system = _parse_system(config["system"])
     f = _parse_observable(config["f"], system)
     g = _parse_observable(config["g"], system)
@@ -470,7 +569,7 @@ def _cmd_average(config: dict) -> int:
         ladder = maximal.LacunaryLadder.build(config["rho"], config["limit"])
     except ValueError as exc:
         raise UsageError(f"--rho/--limit: {exc}") from None
-    table = run_sieve(_WEIGHTS[config["weight"]], config["limit"])
+    table = _table(config, config["limit"])
     starts = [0]
     if config["starts"] > 1:
         count = dynamics.state_count(system)
@@ -496,10 +595,15 @@ def _pooled_map(fn, items, threads: int):
 
 def _cmd_spectral_check(config: dict) -> int:
     """dual-path Fourier identity check, JSON report"""
+    import numpy as np
+
+    from . import rng, spectral
+    from .spectral import PeriodicSignal
+
     period, n_max = config["j"], config["n"]
     p_poly = _poly(config, "poly_p")
     q_poly = _poly(config, "poly_q")
-    table = run_sieve(_WEIGHTS[config["weight"]], n_max)
+    table = _table(config, n_max)
     l_kernel = spectral.build_kernels(table, p_poly, q_poly, n_max, period)
 
     def one_trial(index: int) -> dict:
@@ -551,6 +655,11 @@ def _cmd_spectral_check(config: dict) -> int:
 
 def _cmd_maximal(config: dict) -> int:
     """maximal / oscillation statistics, JSON report"""
+    import numpy as np
+
+    from . import maximal, rng
+    from .spectral import PeriodicSignal
+
     period = config["j"]
     phi = PeriodicSignal.seeded_pm1(period, rng.derive_seed(config["seed"], 0))
     psi = PeriodicSignal.seeded_pm1(period, rng.derive_seed(config["seed"], 1))
@@ -575,7 +684,7 @@ def _cmd_maximal(config: dict) -> int:
     if work > MAX_WORK:
         raise UsageError(f"--j {period} over {terms} terms is {work} element updates, "
                          f"at most {MAX_WORK}")
-    table = run_sieve(_WEIGHTS[config["weight"]], n_read)
+    table = _table(config, n_read)
     if mode == "band":
         peaks = maximal.band_peaks(phi, psi, p_poly, q_poly, table, ladder, ladder.band_count)
         signals = (PeriodicSignal(period, peak) for peak in peaks)
@@ -640,12 +749,16 @@ def _decoded_chunks(handle, digest) -> Iterator[str]:
 def _first_line_and_count(chunks: Iterable[str]) -> tuple[str, int]:
     """(first line, line count) as "".join(chunks).splitlines() gives them,
     one chunk at a time and without building the list of lines.  A "\r"
-    that ends one chunk and a "\n" that starts the next are one boundary."""
+    that ends one chunk and a "\n" that starts the next are one boundary.
+    A break is counted only in a chunk that holds one, which a memchr-fast
+    `in` finds, so a chunk of "\n"-ended lines costs one full pass."""
     head, count, last, open_line = [], 0, "", True
     for text in chunks:
         if not text:
             continue
-        count += sum(map(text.count, _LINE_BREAKS)) - text.count("\r\n")
+        count += sum(text.count(brk) for brk in _LINE_BREAKS if brk in text)
+        if "\r" in text:
+            count -= text.count("\r\n")
         if last == "\r" and text[0] == "\n":
             count -= 1
         if open_line:

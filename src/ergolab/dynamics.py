@@ -26,13 +26,13 @@ from math import gcd
 import numpy as np
 
 from . import folding
+from .limits import MAX_CYCLIC_PERIOD
 from .maximal import LacunaryLadder
 from .polynomials import IntPolynomial, eval_mod_range
 from .spectral import PeriodicSignal
 from .weights import WeightKind, WeightTable
 
 MAX_ROTATION_DENOMINATOR = 1 << 31
-MAX_CYCLIC_PERIOD = 1 << 20  # maximal at J = 2^22 peaked at about 800 MB
 MAX_TRIG_MODES = 64
 
 

@@ -31,13 +31,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import folding
+from .limits import MAX_GRID_DENOMINATOR
 from .polynomials import IntPolynomial, eval_mod_range
 from .weights import WeightTable
 
 _TWO_PI = 2.0 * math.pi
-# Largest grid denominator the command line accepts: grid_scan allocates
-# a q-long histogram and FFT, and a scan writes one row per grid point.
-MAX_GRID_DENOMINATOR = 1 << 22
 
 
 @dataclass(frozen=True)

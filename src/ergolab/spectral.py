@@ -48,30 +48,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import folding, rng
+# The tolerances in force and the spectral-check period cap, read by the CLI
+# from ergolab.limits before it loads this module.
+from .limits import (
+    CONV_RTOL,
+    KERNEL_CONSISTENCY_RTOL,
+    MAX_CHECK_PERIOD,
+    PARSEVAL_RTOL,
+    ROUNDTRIP_RTOL,
+    SQUARE_IDENTITY_RTOL,
+    TOLERANCES,
+)
 from .polynomials import IntPolynomial
 from .weights import WeightTable
-
-# Tolerances in force for the dual-path identities (relative to
-# max(1, reference magnitude)).
-ROUNDTRIP_RTOL = 1e-12
-PARSEVAL_RTOL = 1e-12
-CONV_RTOL = 1e-9
-SQUARE_IDENTITY_RTOL = 1e-9
-KERNEL_CONSISTENCY_RTOL = 1e-9
-
-TOLERANCES = {
-    "roundtrip_rtol": ROUNDTRIP_RTOL,
-    "parseval_rtol": PARSEVAL_RTOL,
-    "conv_rtol": CONV_RTOL,
-    "square_identity_rtol": SQUARE_IDENTITY_RTOL,
-    "kernel_consistency_rtol": KERNEL_CONSISTENCY_RTOL,
-}
-
-# Largest spectral-check period.  It bounds time, not memory: a trial costs
-# O(J^2 log J) in the blocked total-degree route and O(J min(J, N)) in the
-# direct route, in a few MB of work arrays; at N = 1e5 that is about 6 s at
-# J = 16384 and 23 s at J = 32768 (2-core machine, numpy 2.4).
-MAX_CHECK_PERIOD = 16384
 
 
 @dataclass
@@ -260,14 +249,33 @@ def build_kernels(
 
 
 def _total_degree_spectrum(f_spec: Spectrum, g_spec: Spectrum, coeffs: np.ndarray) -> np.ndarray:
-    """c[s] = sum_k F(f)(k) F(g)(s-k) D[k][s-k]; regrouping by s = k + l."""
+    """c[s] = sum_k F(f)(k) F(g)(s-k) D[k][s-k]; regrouping by s = k + l.
+
+    Rows k go in blocks of about folding._BLOCK_ELEMENTS elements.  The
+    terms F(f)(k) F(g)(l) D[k][l] of a block are laid twice along l, and a
+    view whose row k starts k places further left reads each at
+    s = (k + l) mod J, as np.roll(row k, k) would: one skew gather and one
+    sum per block, in one reused scratch array.
+    """
     j = coeffs.shape[0]
     if not f_spec.period == g_spec.period == j:
         raise ValueError("spectra and coefficients must share one period")
     ff, fg = f_spec.coeffs, g_spec.coeffs
+    block = min(j, max(1, folding._BLOCK_ELEMENTS // j))
+    twice = np.empty((block, 2 * j), dtype=np.complex128)
+    rows, cols = twice.strides
     total = np.zeros(j, dtype=np.complex128)
-    for k in range(j):
-        total += ff[k] * np.roll(fg * coeffs[k], k)
+    for first in range(0, j, block):
+        size = min(block, j - first)
+        terms = twice[:size, :j]
+        np.multiply(coeffs[first : first + size], fg, out=terms)
+        terms *= ff[first : first + size, None]
+        twice[:size, j:] = terms
+        # row i of the view starts at twice[i, j - (first + i)]
+        skew = np.lib.stride_tricks.as_strided(
+            twice[0, j - first :], shape=terms.shape, strides=(rows - cols, cols), writeable=False
+        )
+        total += skew.sum(axis=0)
     return total
 
 

@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Hard cap on one-block sieve size (1 B of values and 4 B of cofactor per n
-#: while sieving, 8 B of cumsum after); the uint32 cofactor needs it < 2**32.
-DEFAULT_LIMIT_CAP = 200_000_000
-
-
-class CapacityError(RuntimeError):
-    """Requested table exceeds the configured memory budget."""
+from .limits import DEFAULT_LIMIT_CAP, CapacityError, check_capacity
 
 
 class WeightKind(enum.Enum):
@@ -68,12 +62,6 @@ class WeightTable:
             np.cumsum(self._cumulative, out=self._cumulative)
             self._cumulative.setflags(write=False)
         return self._cumulative
-
-
-def check_capacity(limit: int) -> None:
-    """Raise CapacityError when limit is above DEFAULT_LIMIT_CAP."""
-    if limit > DEFAULT_LIMIT_CAP:
-        raise CapacityError(f"limit {limit} exceeds capacity cap {DEFAULT_LIMIT_CAP}")
 
 
 def sieve(kind: WeightKind, limit: int) -> WeightTable:

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -236,6 +237,72 @@ def test_csv_writer_memory_does_not_grow_with_rows(monkeypatch, tmp_path):
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
+INTEGER_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+# 0, +-1, +-(10^k - 1) and +-10^k: every digit count on both sides of each
+# step, and both signs; each dtype adds its own min and max.
+EDGE_INTEGERS = [0, 1, -1, *(s * (10**k + d) for k in range(1, 20) for d in (-1, 0) for s in (1, -1))]
+# magnitudes on both sides of 2^32, where the digits switch from uint32 to uint64
+WIDE_EDGES = [2**32 - 1, 1 - 2**32, 2**32, -(2**32)]
+
+
+def _edges(dtype) -> list[int]:
+    info = np.iinfo(dtype)
+    edges = [int(info.min), int(info.max), *EDGE_INTEGERS, *WIDE_EDGES]
+    return [v for v in edges if info.min <= v <= info.max]
+
+
+def _per_cell_rows(columns) -> str:
+    cells = [list(c) if isinstance(c, range) else c.tolist() for c in columns]
+    return "".join(",".join(str(cell) for cell in row) + "\n" for row in zip(*cells))
+
+
+@st.composite
+def integer_columns(draw, rows):
+    """An integer array of any width and signedness, or a range."""
+    dtype = draw(st.sampled_from([*INTEGER_DTYPES, range]))
+    if dtype is range:
+        step = draw(st.sampled_from([1, -1, 7, -(10**17)]))
+        start = draw(st.integers(-(2**62), 2**62))
+        return range(start, start + rows * step, step)
+    info = np.iinfo(dtype)
+    values = st.one_of(st.sampled_from(_edges(dtype)), st.integers(int(info.min), int(info.max)))
+    return np.array(draw(st.lists(values, min_size=rows, max_size=rows)), dtype=dtype)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(0, 9), st.integers(1, 4))
+def test_integer_rows_match_per_cell_str(data, rows, width):
+    columns = [data.draw(integer_columns(rows)) for _ in range(width)]
+    assert all(map(cli._is_integer, columns))
+    expected = _per_cell_rows(columns)
+    assert cli._integer_rows(columns) == expected
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:  # blocks of 4 rows and a rest of 1 to 3
+        patch.setattr(cli, "_CSV_BLOCK_ROWS", 4)
+        cli._write_rows(out, columns)
+    assert out.getvalue() == expected
+
+
+@pytest.mark.parametrize("rows", [0, 1, cli._CSV_BLOCK_ROWS + 1])
+def test_integer_blocks_at_the_block_size(rows):
+    # every dtype's edges, cycled down a column as long as two blocks
+    columns = [range(-(rows // 2), rows - rows // 2), np.resize(np.array(WIDE_EDGES), rows)]
+    columns += [np.resize(np.array(_edges(dtype), dtype=dtype), rows) for dtype in INTEGER_DTYPES]
+    out = io.StringIO()
+    cli._write_rows(out, columns)
+    assert out.getvalue() == _per_cell_rows(columns)
+    assert out.getvalue().count("\n") == rows
+
+
+def test_float_and_list_columns_keep_the_format_path():
+    assert not cli._is_integer(np.array([1.0, 2.5]))
+    assert not cli._is_integer(np.array([True, False]))
+    assert not cli._is_integer([1, 2])
+    out = io.StringIO()
+    cli._write_rows(out, [range(1, 3), np.array([0.1, 2.0]), np.array([True, False])])
+    assert out.getvalue() == "1,0.1,True\n2,2.0,False\n"
+
+
 def test_average_memory_does_not_grow_with_starts(tmp_path):
     # each start's rows are written before the next start's are computed
     argv = ["average", "--system", "cyclic:97", "--rho", "1.005", "--limit", "8192",
@@ -343,6 +410,50 @@ def test_spectral_check_loads_the_pool_only_with_threads(tmp_path):
     assert runs["2"][0] == ["0", "concurrent.futures"]
     # The worker count sits in the embedded config and nowhere else.
     assert runs["2"][1] == runs["1"][1].replace(b'"threads": 1', b'"threads": 2')
+
+
+def test_children_load_only_their_own_layers(tmp_path):
+    # import ergolab and import ergolab.cli load no numpy: report and a
+    # usage error never pay for it, and sieve loads weights alone.
+    code = (
+        "import sys; import ergolab; from ergolab.cli import main; "
+        "code = main(sys.argv[1:]) if sys.argv[1:] else 0; "
+        "print(code, 'numpy' in sys.modules, *sorted(m for m in sys.modules if m.startswith('ergolab.')))"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    csv_path = tmp_path / "mu.csv"
+    csv_path.write_text("n,value\n1,1\n")
+
+    def child(*args):
+        argv = [sys.executable, "-c", code, *args]
+        return subprocess.run(argv, env=env, capture_output=True, text=True, cwd=tmp_path).stdout.split()
+
+    lean = ["False", "ergolab.cli", "ergolab.limits"]
+    assert child() == ["0", *lean]
+    assert child("report", "--inputs", str(csv_path), "--out", "summary.json") == ["0", *lean]
+    assert child("sieve", "--nope") == [str(USAGE_EXIT), *lean]
+    assert child("spectral-check", "--j", str(spectral.MAX_CHECK_PERIOD + 1)) == [str(USAGE_EXIT), *lean]
+    code, numpy_loaded, *modules = child("sieve", "--limit", "100", "--sums", "--out", "mu.csv")
+    assert (code, numpy_loaded) == ("0", "True")
+    assert "ergolab.weights" in modules
+    assert not {"ergolab.spectral", "ergolab.dynamics", "ergolab.maximal", "ergolab.expsums"} & set(modules)
+
+
+def test_reexports_and_limits_are_the_layers_objects():
+    import ergolab
+    from ergolab import limits, weights
+
+    for name in ergolab.__all__:
+        assert getattr(ergolab, name) is not None
+    assert ergolab.sieve is weights.sieve and ergolab.dft is spectral.dft
+    with pytest.raises(AttributeError):
+        ergolab.no_such_name
+    assert spectral.TOLERANCES is limits.TOLERANCES is cli.TOLERANCES
+    assert weights.CapacityError is limits.CapacityError
+    assert (spectral.MAX_CHECK_PERIOD, expsums.MAX_GRID_DENOMINATOR, dynamics.MAX_CYCLIC_PERIOD) == (
+        limits.MAX_CHECK_PERIOD, limits.MAX_GRID_DENOMINATOR, limits.MAX_CYCLIC_PERIOD)
+    assert cli._WEIGHT.choices == tuple(sorted(kind.value for kind in WeightKind))
 
 
 def test_spectral_check_injected_fault_exits_2(tmp_path):

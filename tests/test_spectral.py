@@ -196,6 +196,23 @@ def test_total_degree_rejects_other_periods():
         kernel.total_degree(np.ones(8), np.ones(16))
 
 
+# 3 splits the rows of J = 97 into blocks of one row (a block of 3 elements
+# holds no 97-long row) and J = 2 into two blocks; the default holds J = 97
+# in one block and J = 1024 in blocks of 32 rows.
+@pytest.mark.parametrize("block", [3, folding._BLOCK_ELEMENTS])
+@pytest.mark.parametrize("period", [1, 2, 97, 1024])
+def test_total_degree_spectrum_matches_the_roll_loop(period, block, monkeypatch):
+    coeffs = rng.complex_box(period, period * period).reshape(period, period)
+    f_spec = Spectrum(period, rng.complex_box(period + 1, period))
+    g_spec = Spectrum(period, rng.complex_box(period + 2, period))
+    want = np.zeros(period, dtype=np.complex128)
+    for k in range(period):
+        want += f_spec.coeffs[k] * np.roll(g_spec.coeffs * coeffs[k], k)
+    monkeypatch.setattr(folding, "_BLOCK_ELEMENTS", block)
+    got = spectral._total_degree_spectrum(f_spec, g_spec, coeffs)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
 @pytest.mark.parametrize(
     "period, weight, p_poly, q_poly",
     [(1024, "liouville_100k", IntPolynomial((0, 1, 0, 1)), NEG_LINEAR), (2048, "mobius_100k", SQUARE, LINEAR)],
