@@ -527,6 +527,13 @@ def _parse_system(spec: str):
     raise UsageError(f"--system: unknown kind {spec!r}")
 
 
+def _finite_complex(text: str) -> complex:
+    value = complex(text)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _parse_observable(spec: str, system):
     from . import dynamics
     from .spectral import PeriodicSignal
@@ -542,14 +549,14 @@ def _parse_observable(spec: str, system):
             if kind == "delta":
                 return PeriodicSignal.delta(period, int(rest))
             if kind == "const":
-                return PeriodicSignal.constant(period, complex(rest))
+                return PeriodicSignal.constant(period, _finite_complex(rest))
         else:
             if kind == "modes":
                 modes, coeffs = [], []
                 for part in rest.split(";"):
                     mode, _, coeff = part.partition("=")
                     modes.append(int(mode))
-                    coeffs.append(complex(coeff))
+                    coeffs.append(_finite_complex(coeff))
                 return dynamics.TrigPolynomial(tuple(modes), tuple(coeffs))
     except ValueError as exc:
         raise UsageError(f"observable {spec!r}: {exc}") from None
@@ -572,8 +579,8 @@ def _cmd_average(config: dict) -> int:
     table = _table(config, config["limit"])
     starts = [0]
     if config["starts"] > 1:
-        count = dynamics.state_count(system)
-        starts.extend(int(s) for s in rng.integers_mod(config["seed"], config["starts"] - 1, count))
+        others = rng.integers_mod(config["seed"], config["starts"] - 1, system.states)
+        starts.extend(int(s) for s in others)
     traces = dynamics.convergence_traces(system, f, g, p_poly, q_poly, table, ladder, starts)
     with _output(config["out"]) as out:  # one start's rows at a time
         out.write("start,n,re,im,abs\n")

@@ -3,13 +3,16 @@
 Two exactly representable measure-preserving systems:
 
   * CyclicShift(J): states are residues mod J, the map adds 1, and
-    observables are J-periodic signals.  Orbit positions x + P(n) are
-    reduced mod J in exact integer arithmetic.
+    observables are J-periodic signals.
   * RationalRotation(p, q): states are the q points a/q of the circle,
     the map adds p/q (gcd(p, q) = 1 so the rotation is ergodic), and
     observables are trigonometric polynomials.  Irrational rotations are
     approximated by continued-fraction convergents p/q supplied by the
     caller.
+
+Both are one rule, x -> x + step mod states: the cyclic shift is the
+rotation by 1/J.  Orbit positions x + step * P(n) are reduced mod states
+in exact integer arithmetic, so they depend on n only modulo states.
 
 The central object is A_N(x) = (1/N) sum_{n<=N} nu(n) f(T^{P(n)} x) g(T^{Q(n)} x);
 on the cyclic shift this is, by construction, the same expression the
@@ -30,7 +33,7 @@ from .limits import MAX_CYCLIC_PERIOD
 from .maximal import LacunaryLadder
 from .polynomials import IntPolynomial, eval_mod_range
 from .spectral import PeriodicSignal
-from .weights import WeightKind, WeightTable
+from .weights import WeightTable
 
 MAX_ROTATION_DENOMINATOR = 1 << 31
 MAX_TRIG_MODES = 64
@@ -46,10 +49,13 @@ class CyclicShift:
         if not 1 <= self.period <= MAX_CYCLIC_PERIOD:
             raise ValueError("period outside [1, 2^20]")
 
-    def check_state(self, x: int) -> int:
-        if not 0 <= x < self.period:
-            raise ValueError(f"state {x} outside Z/{self.period}Z")
-        return x
+    @property
+    def states(self) -> int:
+        return self.period
+
+    @property
+    def step(self) -> int:
+        return 1
 
 
 @dataclass(frozen=True)
@@ -65,10 +71,13 @@ class RationalRotation:
         if gcd(self.numerator, self.denominator) != 1:
             raise ValueError("numerator and denominator must be coprime")
 
-    def check_state(self, x: int) -> int:
-        if not 0 <= x < self.denominator:
-            raise ValueError(f"state {x} is not a point a/{self.denominator}")
-        return x
+    @property
+    def states(self) -> int:
+        return self.denominator
+
+    @property
+    def step(self) -> int:
+        return self.numerator % self.denominator
 
 
 @dataclass(frozen=True)
@@ -142,11 +151,9 @@ def windowed_orbit_signal(
         raise ValueError("n_bar must be at least 1")
     if period <= 4 * n_bar:
         raise ValueError("period must exceed 4 * n_bar to hold the window")
-    x = system.check_state(x)
+    x = _check_state(system, x)
     window = np.arange(-2 * n_bar, 2 * n_bar + 1, dtype=np.int64)
-    samples = _orbit_values(
-        system, observable, eval_mod_range(poly, window, state_count(system)), x
-    )
+    samples = _orbit_values(system, observable, eval_mod_range(poly, window, system.states), x)
     values = np.zeros(period, dtype=np.complex128)
     values[window % period] = samples
     return PeriodicSignal(period, values)
@@ -154,49 +161,61 @@ def windowed_orbit_signal(
 
 def preserves_counting_measure(system) -> bool:
     """Literal pushforward check: the one-step map permutes the states."""
-    if isinstance(system, CyclicShift):
-        states = np.arange(system.period)
-        image = (states + 1) % system.period
-    elif isinstance(system, RationalRotation):
-        states = np.arange(system.denominator)
-        image = (states + system.numerator) % system.denominator
-    else:
-        raise TypeError(f"unsupported system {type(system).__name__}")
+    states = np.arange(system.states)
+    image = (states + system.step) % system.states
     return bool(np.array_equal(np.sort(image), states))
 
 
-def visits_every_state(system: RationalRotation, x: int = 0) -> bool:
-    """Ergodicity of the rotation: the orbit of x covers all q points."""
-    q = system.denominator
-    orbit = (x + np.arange(q, dtype=np.int64) * system.numerator) % q
-    return bool(np.unique(orbit).size == q)
+def visits_every_state(system, x: int = 0) -> bool:
+    """Ergodicity: the orbit of x covers all the states."""
+    orbit = (x + np.arange(system.states, dtype=np.int64) * system.step) % system.states
+    return bool(np.unique(orbit).size == system.states)
 
 
-def state_count(system) -> int:
-    """Number of states; orbit positions depend on n only modulo it."""
-    if isinstance(system, CyclicShift):
-        return system.period
-    if isinstance(system, RationalRotation):
-        return system.denominator
-    raise TypeError(f"unsupported system {type(system).__name__}")
+def _check_state(system, x: int) -> int:
+    if not 0 <= x < system.states:
+        raise ValueError(f"state {x} outside [0, {system.states})")
+    return x
 
 
-def _orbit_values(system, observable, residues: np.ndarray, x: int, power: int = 1):
-    """observable(T^{power * P} x) for each residue P mod state_count(system).
-
-    A rotation by p/q has q states, so its orbits fold with period q.
-    """
-    count = state_count(system)
-    if power != 1:
-        residues = (power % count) * residues % count
+def _orbit_values(system, observable, residues: np.ndarray, x: int):
+    """observable(T^P x) for each residue P mod system.states."""
+    count = system.states
+    positions = (x + residues * system.step) % count
     if isinstance(system, CyclicShift):
         if not isinstance(observable, PeriodicSignal) or observable.period != count:
             raise ValueError("cyclic shift observables must be signals of matching period")
-        return observable.values[(x + residues) % count]
+        return observable.values[positions]
     if not isinstance(observable, TrigPolynomial):
         raise ValueError("rotation observables must be trigonometric polynomials")
-    positions = (x + residues * (system.numerator % count)) % count
     return observable.at_points(positions, count)
+
+
+def _running_averages(system, observables, polys, table: WeightTable, lengths, starts):
+    """Yield, for each x in starts, the read-only complex array of
+    A_N(x) = (1/N) sum_{n<=N} nu(n) prod_i f_i(T^{P_i(n)} x) at each N of
+    the strictly increasing lengths.
+
+    The class masses between consecutive lengths (one class_masses pass)
+    and the residues P_i(r) do not depend on x; each start costs one
+    product of gathers and one running sum, read at the segment ends and
+    summed in a fixed order without BLAS.  Every start is checked before
+    the fold; a length past table.limit raises ValueError.
+    """
+    if len(observables) != len(polys) or not observables:
+        raise ValueError("need k >= 1 observables with one polynomial each")
+    starts = [_check_state(system, x) for x in starts]
+    lengths = np.asarray(lengths, dtype=np.int64)
+    offsets, classes, masses = folding.class_masses(table, system.states, lengths)
+    residues = [folding.residues(poly, system.states, int(lengths[-1])) for poly in polys]
+    for x in starts:
+        terms = functools.reduce(np.multiply, (
+            _orbit_values(system, obs, r, x) for obs, r in zip(observables, residues)
+        ))
+        # one expression, so no running sum outlives its start
+        values = np.concatenate([[0], np.cumsum(masses * terms[classes])])[offsets[1:]] / lengths
+        values.flags.writeable = False
+        yield values
 
 
 def bilinear_average(system, f, g, p_poly, q_poly, table, n_max: int, x: int) -> complex:
@@ -205,30 +224,13 @@ def bilinear_average(system, f, g, p_poly, q_poly, table, n_max: int, x: int) ->
 
 
 def multilinear_average(
-    system,
-    observables,
-    polys,
-    table: WeightTable,
-    n_max: int,
-    x: int,
-    powers=None,
+    system, observables, polys, table: WeightTable, n_max: int, x: int
 ) -> complex:
-    """(1/N) sum nu(n) prod_i f_i(T_i^{P_i(n)} x) with each T_i a power of T,
-    one term per class."""
-    if len(observables) != len(polys) or not observables:
-        raise ValueError("need k >= 1 observables with one polynomial each")
-    if powers is None:
-        powers = [1] * len(observables)
-    if len(powers) != len(observables):
-        raise ValueError("powers must match the observables")
-    x = system.check_state(x)
-    count = state_count(system)
-    _, classes, masses = folding.class_masses(table, count, [n_max])
-    terms = functools.reduce(np.multiply, (
-        _orbit_values(system, obs, folding.residues(poly, count, n_max), x, power)
-        for obs, poly, power in zip(observables, polys, powers)
-    ))
-    return complex(np.dot(masses, terms[classes]) / n_max)
+    """(1/N) sum nu(n) prod_i f_i(T^{P_i(n)} x), one term per class.
+
+    A power T^k of the map is the polynomial k * P_i."""
+    (values,) = _running_averages(system, observables, polys, table, [n_max], [x])
+    return complex(values[0])
 
 
 @dataclass(frozen=True, eq=False)  # values is an array: compare by identity
@@ -236,9 +238,6 @@ class AverageTrace:
     """A_N(x) sampled along the lacunary ladder."""
 
     start: int
-    weight_kind: WeightKind | None
-    p_spec: str
-    q_spec: str
     lengths: tuple[int, ...]
     values: np.ndarray  # read-only complex128, one per length
 
@@ -263,32 +262,14 @@ def convergence_traces(
     ladder: LacunaryLadder,
     starts,
 ) -> Iterator[AverageTrace]:
-    """Yield the trace of A_N(x) over the ladder members N for each x in starts.
-
-    The class masses between consecutive members (one class_masses pass)
-    and the residues P(r), Q(r) do not depend on x; each start costs its
-    observable gather and one running sum.  A ladder past table.limit
+    """Yield the trace of A_N(x) over the ladder members N for each x in starts,
+    all from one fold (_running_averages).  A ladder past table.limit
     raises ValueError.
     """
-    starts = [system.check_state(x) for x in starts]
-    count = state_count(system)
-    members = np.array(ladder.members, dtype=np.int64)
-    offsets, classes, masses = folding.class_masses(table, count, members)
-    a = folding.residues(p_poly, count, ladder.members[-1])
-    b = folding.residues(q_poly, count, ladder.members[-1])
-    for x in starts:
-        terms = _orbit_values(system, f, a, x) * _orbit_values(system, g, b, x)
-        # one expression, so no running sum outlives its start
-        values = np.concatenate([[0], np.cumsum(masses * terms[classes])])[offsets[1:]] / members
-        values.flags.writeable = False
-        yield AverageTrace(
-            start=x,
-            weight_kind=table.kind,
-            p_spec=p_poly.spec_string(),
-            q_spec=q_poly.spec_string(),
-            lengths=ladder.members,
-            values=values,
-        )
+    starts = list(starts)
+    averages = _running_averages(system, [f, g], [p_poly, q_poly], table, ladder.members, starts)
+    for x, values in zip(starts, averages):
+        yield AverageTrace(start=x, lengths=ladder.members, values=values)
 
 
 def convergence_trace(system, f, g, p_poly, q_poly, table, ladder, x: int) -> AverageTrace:
@@ -315,12 +296,12 @@ def cauchy_schwarz_split(
                                   * ((1/N) sum |dg|^2 along Q-orbit)^(1/2)
 
     Holds pointwise because |nu| <= 1."""
-    x = system.check_state(x)
+    x = _check_state(system, x)
     df = PeriodicSignal(f.period, f.values - f_approx.values)
     dg = PeriodicSignal(g.period, g.values - g_approx.values)
     lhs = abs(bilinear_average(system, df, dg, p_poly, q_poly, table, n_max, x))
     n_values = np.arange(1, n_max + 1, dtype=np.int64)
-    count = state_count(system)
+    count = system.states
     df_orbit = np.abs(_orbit_values(system, df, eval_mod_range(p_poly, n_values, count), x)) ** 2
     dg_orbit = np.abs(_orbit_values(system, dg, eval_mod_range(q_poly, n_values, count), x)) ** 2
     rhs = float(np.sqrt(df_orbit.mean()) * np.sqrt(dg_orbit.mean()))

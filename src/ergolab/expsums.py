@@ -90,7 +90,7 @@ def weighted_poly_sum(table: WeightTable, poly: IntPolynomial, theta, n_max: int
     turns = _as_turns(theta)
     _, classes, masses = folding.class_masses(table, turns.denominator, [n_max])
     phases = _phases(poly, classes, turns)
-    return complex(np.dot(masses, phases) / n_max)
+    return complex(np.sum(masses * phases) / n_max)
 
 
 @dataclass(frozen=True)
@@ -102,20 +102,6 @@ class RationalGrid:
     def __post_init__(self):
         if self.denominator < 1:
             raise ValueError("grid denominator must be positive")
-
-
-@dataclass(frozen=True)
-class UniformGrid:
-    """Equally spaced double-precision frequencies in [0, 2 pi)."""
-
-    points: int
-
-    def __post_init__(self):
-        if self.points < 1:
-            raise ValueError("grid must contain at least one point")
-
-    def thetas(self) -> np.ndarray:
-        return np.arange(self.points) * (_TWO_PI / self.points)
 
 
 def grid_scans(
@@ -156,33 +142,23 @@ def _argmax_smallest(values: np.ndarray) -> int:
 
 
 def grid_maxima(
-    table: WeightTable, poly: IntPolynomial, grid, lengths
+    table: WeightTable, poly: IntPolynomial, grid: RationalGrid, lengths
 ) -> list[tuple[float, float]]:
     """(theta_star, max |S|) over the grid at each N of lengths, in their
-    order (repeats allowed); ties break to the smallest theta.  A
-    RationalGrid reads one grid_scans pass over the sorted distinct lengths.
+    order (repeats allowed); ties break to the smallest theta.  Reads one
+    grid_scans pass over the sorted distinct lengths.
     """
-    if isinstance(grid, RationalGrid):
-        distinct = sorted(set(lengths))
-        peaks = {}
-        for n_max, scan in zip(distinct, grid_scans(table, poly, grid, distinct)):
-            values = np.abs(scan)
-            a_star = _argmax_smallest(values)
-            peaks[n_max] = _TWO_PI * a_star / grid.denominator, float(values[a_star])
-        return [peaks[n_max] for n_max in lengths]
-    if isinstance(grid, UniformGrid):
-        thetas = grid.thetas()
-        out = []
-        for n_max in lengths:
-            moduli = np.array([abs(weighted_poly_sum(table, poly, t, n_max)) for t in thetas])
-            i_star = _argmax_smallest(moduli)
-            out.append((float(thetas[i_star]), float(moduli[i_star])))
-        return out
-    raise TypeError(f"unsupported grid type {type(grid).__name__}")
+    distinct = sorted(set(lengths))
+    peaks = {}
+    for n_max, scan in zip(distinct, grid_scans(table, poly, grid, distinct)):
+        values = np.abs(scan)
+        a_star = _argmax_smallest(values)
+        peaks[n_max] = _TWO_PI * a_star / grid.denominator, float(values[a_star])
+    return [peaks[n_max] for n_max in lengths]
 
 
 def max_over_grid(
-    table: WeightTable, poly: IntPolynomial, grid, n_max: int
+    table: WeightTable, poly: IntPolynomial, grid: RationalGrid, n_max: int
 ) -> tuple[float, float]:
     """(theta_star, max |S|) over the grid; ties break to the smallest theta."""
     return grid_maxima(table, poly, grid, [n_max])[0]
@@ -207,7 +183,7 @@ class DecayProfile:
 
 
 def decay_profile(
-    table: WeightTable, poly: IntPolynomial, grid, n_list: list[int]
+    table: WeightTable, poly: IntPolynomial, grid: RationalGrid, n_list: list[int]
 ) -> DecayProfile:
     """Take grid_maxima over n_list and fit log(max) against log log N."""
     if len(n_list) < 3:
@@ -263,8 +239,7 @@ def short_interval_sum(
     turns = _as_turns(theta)
     n_values = np.arange(start, start + span + 1, dtype=np.int64)
     phases = _phases(_LINEAR, n_values, turns)
-    w = table.values[start : start + span + 1].astype(np.float64)
-    value = complex(np.dot(w, phases) / span)
+    value = complex(np.sum(table.values[start : start + span + 1] * phases) / span)
     return ShortIntervalSum(
         value=value,
         start=start,

@@ -155,9 +155,8 @@ def zeta_reciprocal_partial(mu_table: WeightTable, s: float, n: int) -> float:
         raise ValueError("s must exceed 1 for the series to converge")
     if not 1 <= n <= mu_table.limit:
         raise ValueError(f"n={n} outside table range [1, {mu_table.limit}]")
-    weights = mu_table.values[1 : n + 1].astype(np.float64)
     powers = np.arange(1, n + 1, dtype=np.float64) ** (-s)
-    return float(np.dot(weights, powers))
+    return float(np.sum(mu_table.values[1 : n + 1] * powers))
 
 
 @dataclass(frozen=True)

@@ -332,6 +332,29 @@ def test_expsum_short_json(tmp_path):
     assert abs(payload["results"]["abs"]) <= 1.0 + 1e-12
 
 
+def test_expsum_short_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # A BLAS dot product splits its sum by thread count once the vectors
+    # pass 10^4 elements; span 10^4 (10001 terms) is the smallest window at
+    # which an np.dot of the window gave different bytes under 1 and 2
+    # OpenBLAS threads.  The result sums go through np.sum instead.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = [sys.executable, "-m", "ergolab", "expsum", "short", "--weight", "liouville",
+            "--start", "2000000", "--span", "10000", "--theta", "2/4294967311"]
+    written = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+        }
+        work = tmp_path / threads  # the report embeds --out, so it stays the same
+        work.mkdir()
+        subprocess.run([*argv, "--out", "short.json"], env=env, cwd=work, capture_output=True, check=True)
+        written.append((work / "short.json").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_average_csv(tmp_path):
     out = tmp_path / "avg.csv"
     code = main(
@@ -640,6 +663,11 @@ def test_repeated_runs_byte_identical(tmp_path):
         ["expsum", "scan", "--grid-den", "0"],
         ["average", "--starts", "0"],
         ["average", "--system", f"cyclic:{dynamics.MAX_CYCLIC_PERIOD + 1}"],
+        # non-finite observables would write nan rows
+        ["average", "--system", "cyclic:8", "--f", "const:nan", "--limit", "64"],
+        ["average", "--system", "cyclic:8", "--g", "const:inf", "--limit", "64"],
+        ["average", "--system", "rotation:1/8", "--f", "modes:1=1e400", "--g", "modes:2=1", "--limit", "64"],
+        ["average", "--system", "rotation:1/8", "--f", "modes:1=1", "--g", "modes:1=1;2=nanj", "--limit", "64"],
     ],
 )
 def test_out_of_range_orbit_inputs_exit_64(argv, capsys):

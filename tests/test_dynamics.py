@@ -19,7 +19,7 @@ from ergolab.dynamics import (
 from ergolab.maximal import LacunaryLadder
 from ergolab.polynomials import IntPolynomial
 from ergolab.spectral import PeriodicSignal, d_coefficients, dft, spectral_average_all
-from ergolab.weights import WeightKind, constant_table, partial_sum, sieve, zero_table
+from ergolab.weights import constant_table, partial_sum, sieve, zero_table
 from oracles import naive_bilinear_average
 
 LINEAR = IntPolynomial((0, 1))
@@ -85,6 +85,29 @@ def test_rotation_average_matches_cmath_loop(liouville_100k):
     assert abs(value - total / n) < 1e-11
 
 
+def test_rotation_by_one_over_j_is_the_cyclic_shift(mobius_100k):
+    # One orbit rule: RationalRotation(1, J) and CyclicShift(J) both add 1
+    # mod J, so a trigonometric polynomial and its samples at the J points
+    # a/J give the same terms, gathered in the same order.
+    j = 97
+    f = TrigPolynomial(modes=(1, -3), coeffs=(1.0, 0.25 - 0.5j))
+    g = TrigPolynomial(modes=(2, 5), coeffs=(0.5j, 1.0))
+    points = np.arange(j)
+    f_cyc = PeriodicSignal(j, f.at_points(points, j))
+    g_cyc = PeriodicSignal(j, g.at_points(points, j))
+    rot, cyc = RationalRotation(1, j), CyclicShift(j)
+    for n, x in ((1, 0), (500, 13), (10_000, 96)):
+        assert bilinear_average(rot, f, g, SQUARE, LINEAR, mobius_100k, n, x) == bilinear_average(
+            cyc, f_cyc, g_cyc, SQUARE, LINEAR, mobius_100k, n, x
+        )
+    ladder = LacunaryLadder.build(1.5, 50_000)
+    for x in (0, 41):
+        rot_trace = convergence_trace(rot, f, g, SQUARE, LINEAR, mobius_100k, ladder, x)
+        cyc_trace = convergence_trace(cyc, f_cyc, g_cyc, SQUARE, LINEAR, mobius_100k, ladder, x)
+        assert rot_trace.lengths == cyc_trace.lengths
+        assert np.array_equal(rot_trace.values, cyc_trace.values)
+
+
 def test_measure_preservation_checks():
     assert preserves_counting_measure(CyclicShift(17))
     assert preserves_counting_measure(RationalRotation(5, 12))
@@ -133,27 +156,6 @@ def test_multilinear_k3_zero_weights():
         CyclicShift(j), obs, [LINEAR, SQUARE, LINEAR], table, 1000, 0
     )
     assert value == 0.0
-
-
-def test_multilinear_powers_shift_orbits(mobius_100k):
-    j = 32
-    f = PeriodicSignal.seeded_pm1(j, 11)
-    g = PeriodicSignal.seeded_pm1(j, 12)
-    # T1 = T^2, T2 = T^3 with linear times equals polynomials 2n and 3n.
-    via_powers = multilinear_average(
-        CyclicShift(j), [f, g], [LINEAR, LINEAR], mobius_100k, 500, 5, powers=[2, 3]
-    )
-    via_polys = bilinear_average(
-        CyclicShift(j),
-        f,
-        g,
-        IntPolynomial((0, 2)),
-        IntPolynomial((0, 3)),
-        mobius_100k,
-        500,
-        5,
-    )
-    assert via_powers == pytest.approx(via_polys, abs=1e-15)
 
 
 def test_trace_zero_weights_all_zero():
@@ -217,7 +219,7 @@ def test_trace_values_are_a_read_only_complex_array(mobius_100k):
 
 
 def test_trace_first_at_least():
-    trace = AverageTrace(0, WeightKind.MOBIUS, "0,1", "0,-1", (1, 2, 64, 128), (1j, 0.5, 0.25, 0.1))
+    trace = AverageTrace(0, (1, 2, 64, 128), (1j, 0.5, 0.25, 0.1))
     assert trace.first_at_least(64) == (64, 0.25)
     assert trace.final == (128, 0.1)
     with pytest.raises(ValueError):
