@@ -17,7 +17,8 @@ Exit codes: 0 success, 2 invariant violation detected mid-run,
 64 usage error (including a table past the sieve capacity, a value
 outside its option's low..high such as a spectral-check --j above
 spectral.MAX_CHECK_PERIOD or --trials above MAX_TRIALS, an average
-cyclic:J period above dynamics.MAX_CYCLIC_PERIOD, a maximal run past
+cyclic:J period above dynamics.MAX_CYCLIC_PERIOD, an average whose
+sup|f| * sup|g| * --limit overflows a float, a maximal run past
 MAX_WORK element updates, a non-finite --rho and a report input that is not
 valid JSON).
 """
@@ -563,6 +564,15 @@ def _parse_observable(spec: str, system):
     raise UsageError(f"observable {spec!r} not valid for {type(system).__name__}")
 
 
+def _sup_bound(observable) -> float:
+    """A bound on sup |f|: the largest |value| of a signal, sum |c| of modes."""
+    from . import dynamics
+
+    if isinstance(observable, dynamics.TrigPolynomial):
+        return sum(map(abs, observable.coeffs))
+    return observable.norm(math.inf)
+
+
 def _cmd_average(config: dict) -> int:
     """bilinear averages along a lacunary ladder"""
     from . import dynamics, maximal, rng
@@ -570,6 +580,9 @@ def _cmd_average(config: dict) -> int:
     system = _parse_system(config["system"])
     f = _parse_observable(config["f"], system)
     g = _parse_observable(config["g"], system)
+    # the running sums stay below sup|f| sup|g| N, which must be a float
+    if not math.isfinite(_sup_bound(f) * _sup_bound(g) * config["limit"]):
+        raise UsageError("--f/--g: sup|f| * sup|g| * --limit overflows a float")
     p_poly = _poly(config, "poly_p")
     q_poly = _poly(config, "poly_q")
     try:  # before the sieve; every start's trace reads this one ladder

@@ -6,9 +6,7 @@ Two exactly representable measure-preserving systems:
     observables are J-periodic signals.
   * RationalRotation(p, q): states are the q points a/q of the circle,
     the map adds p/q (gcd(p, q) = 1 so the rotation is ergodic), and
-    observables are trigonometric polynomials.  Irrational rotations are
-    approximated by continued-fraction convergents p/q supplied by the
-    caller.
+    observables are trigonometric polynomials.
 
 Both are one rule, x -> x + step mod states: the cyclic shift is the
 rotation by 1/J.  Orbit positions x + step * P(n) are reduced mod states
@@ -31,7 +29,7 @@ import numpy as np
 from . import folding
 from .limits import MAX_CYCLIC_PERIOD
 from .maximal import LacunaryLadder
-from .polynomials import IntPolynomial, eval_mod_range
+from .polynomials import IntPolynomial
 from .spectral import PeriodicSignal
 from .weights import WeightTable
 
@@ -103,73 +101,6 @@ class TrigPolynomial:
             residues = (mode % denominator) * (numerators % denominator) % denominator
             out += coeff * np.exp(2j * np.pi * residues / denominator)
         return out
-
-
-def continued_fraction_convergents(alpha: float, max_denominator: int) -> list[tuple[int, int]]:
-    """Convergents p/q of alpha with q <= max_denominator.
-
-    Standard recurrence p_k = a_k p_{k-1} + p_{k-2} (same for q).  Use the
-    last convergent as the rotation frequency when an irrational rotation
-    is wanted: consecutive convergents are automatically coprime.
-    """
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be at least 1")
-    out: list[tuple[int, int]] = []
-    p_prev, q_prev, p_cur, q_cur = 1, 0, int(np.floor(alpha)), 1
-    x = alpha - np.floor(alpha)
-    out.append((p_cur, q_cur))
-    for _ in range(64):
-        if x <= 0:
-            break
-        x = 1.0 / x
-        a = int(np.floor(x))
-        x -= a
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        if q_cur > max_denominator:
-            break
-        out.append((p_cur, q_cur))
-    return out
-
-
-def windowed_orbit_signal(
-    system,
-    observable,
-    poly: IntPolynomial,
-    x: int,
-    n_bar: int,
-    period: int,
-) -> PeriodicSignal:
-    """Orbit samples cut off outside [-2*n_bar, 2*n_bar], embedded in Z/period.
-
-    The signal is observable(T^{P(n)} x) for |n| <= 2*n_bar and zero
-    otherwise, with index n taken mod period.  This is the finite-window
-    transfer of a dynamical-system observable to a shift-system signal;
-    period must exceed 4*n_bar so the window does not wrap onto itself.
-    """
-    if n_bar < 1:
-        raise ValueError("n_bar must be at least 1")
-    if period <= 4 * n_bar:
-        raise ValueError("period must exceed 4 * n_bar to hold the window")
-    x = _check_state(system, x)
-    window = np.arange(-2 * n_bar, 2 * n_bar + 1, dtype=np.int64)
-    samples = _orbit_values(system, observable, eval_mod_range(poly, window, system.states), x)
-    values = np.zeros(period, dtype=np.complex128)
-    values[window % period] = samples
-    return PeriodicSignal(period, values)
-
-
-def preserves_counting_measure(system) -> bool:
-    """Literal pushforward check: the one-step map permutes the states."""
-    states = np.arange(system.states)
-    image = (states + system.step) % system.states
-    return bool(np.array_equal(np.sort(image), states))
-
-
-def visits_every_state(system, x: int = 0) -> bool:
-    """Ergodicity: the orbit of x covers all the states."""
-    orbit = (x + np.arange(system.states, dtype=np.int64) * system.step) % system.states
-    return bool(np.unique(orbit).size == system.states)
 
 
 def _check_state(system, x: int) -> int:
@@ -275,34 +206,3 @@ def convergence_traces(
 def convergence_trace(system, f, g, p_poly, q_poly, table, ladder, x: int) -> AverageTrace:
     """A_N(x) for every member N of the ladder: convergence_traces at one start."""
     return next(convergence_traces(system, f, g, p_poly, q_poly, table, ladder, [x]))
-
-
-def cauchy_schwarz_split(
-    system,
-    f,
-    f_approx,
-    g,
-    g_approx,
-    p_poly: IntPolynomial,
-    q_poly: IntPolynomial,
-    table: WeightTable,
-    n_max: int,
-    x: int,
-) -> tuple[float, float]:
-    """(lhs, rhs) of the splitting bound used to pass from bounded to
-    square-integrable observables:
-
-        |A_N(f - f1, g - g1)(x)| <= ((1/N) sum |df|^2 along P-orbit)^(1/2)
-                                  * ((1/N) sum |dg|^2 along Q-orbit)^(1/2)
-
-    Holds pointwise because |nu| <= 1."""
-    x = _check_state(system, x)
-    df = PeriodicSignal(f.period, f.values - f_approx.values)
-    dg = PeriodicSignal(g.period, g.values - g_approx.values)
-    lhs = abs(bilinear_average(system, df, dg, p_poly, q_poly, table, n_max, x))
-    n_values = np.arange(1, n_max + 1, dtype=np.int64)
-    count = system.states
-    df_orbit = np.abs(_orbit_values(system, df, eval_mod_range(p_poly, n_values, count), x)) ** 2
-    dg_orbit = np.abs(_orbit_values(system, dg, eval_mod_range(q_poly, n_values, count), x)) ** 2
-    rhs = float(np.sqrt(df_orbit.mean()) * np.sqrt(dg_orbit.mean()))
-    return lhs, rhs

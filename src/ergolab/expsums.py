@@ -3,12 +3,10 @@
 The central quantity is S(theta) = (1/N) sum_{n<=N} nu(n) e^{i P(n) theta}.
 Because P(n) grows like n^deg, the phase P(n) * theta is meaningless in
 floating point unless the reduction mod 2 pi is exact.  Every frequency
-is therefore carried as an exact fraction of the circle, theta =
-2 pi a / q: a float input is interpreted as the dyadic rational it
-already is (via float.as_integer_ratio on theta / 2 pi), and the phase
-residues (a * P(n)) mod q are computed in exact integer arithmetic by
-polynomials.eval_mod_range, whatever the size of q (a float theta has q
-up to 2^1074).  Only the final e^{2 pi i r / q} is floating point.
+is therefore a RationalAngle, an exact fraction of the circle theta =
+2 pi a / q, and the phase residues (a * P(n)) mod q are computed in exact
+integer arithmetic by polynomials.eval_mod_range, whatever the size of q.
+Only the final e^{2 pi i r / q} is floating point.
 
 Since P(n) mod q depends only on n mod q, the sums over n <= N fold onto
 the classes r = n mod q (ergolab.folding): nu enters through the exact
@@ -56,21 +54,6 @@ class RationalAngle:
     def turns(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 
-    def conjugate(self) -> "RationalAngle":
-        return RationalAngle(-self.numerator, self.denominator)
-
-
-def _as_turns(theta) -> Fraction:
-    """Exact fraction of the circle for a float or RationalAngle frequency."""
-    if isinstance(theta, RationalAngle):
-        return theta.turns
-    if isinstance(theta, Fraction):
-        return theta % 1
-    theta = float(theta)
-    if not 0.0 <= theta < _TWO_PI:
-        raise ValueError("theta must lie in [0, 2*pi)")
-    return Fraction(*((theta / _TWO_PI) % 1.0).as_integer_ratio())
-
 
 def _phases(poly: IntPolynomial, n_values: np.ndarray, turns: Fraction) -> np.ndarray:
     """e^{2 pi i P(n) turns} with P(n) * turns reduced mod 1 exactly."""
@@ -80,14 +63,15 @@ def _phases(poly: IntPolynomial, n_values: np.ndarray, turns: Fraction) -> np.nd
     return np.exp(2j * np.pi * (residues / q).astype(np.float64))
 
 
-def weighted_poly_sum(table: WeightTable, poly: IntPolynomial, theta, n_max: int) -> complex:
+def weighted_poly_sum(
+    table: WeightTable, poly: IntPolynomial, theta: RationalAngle, n_max: int
+) -> complex:
     """(1/N) sum_{n<=N} nu(n) e^{i P(n) theta} with exact phase reduction.
 
-    theta may be a RationalAngle, a Fraction of the circle, or a float in
-    [0, 2 pi).  P is evaluated exactly once per class n mod q, and each
-    class phase is one complex exponential of its reduced residue.
+    P is evaluated exactly once per class n mod q, and each class phase is
+    one complex exponential of its reduced residue.
     """
-    turns = _as_turns(theta)
+    turns = theta.turns
     _, classes, masses = folding.class_masses(table, turns.denominator, [n_max])
     phases = _phases(poly, classes, turns)
     return complex(np.sum(masses * phases) / n_max)
@@ -190,6 +174,8 @@ def decay_profile(
         raise ValueError("decay fit needs at least 3 lengths")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
+    if n_list[0] < 2:
+        raise ValueError("decay fit needs every length >= 2, where log log N is finite")
     thetas, maxima = zip(*grid_maxima(table, poly, grid, n_list))
     if min(maxima) <= 0.0:
         raise ValueError("cannot fit a log-power decay model through zero maxima")
@@ -226,7 +212,7 @@ _LINEAR = IntPolynomial((0, 1))
 
 
 def short_interval_sum(
-    table: WeightTable, theta, start: int, span: int
+    table: WeightTable, theta: RationalAngle, start: int, span: int
 ) -> ShortIntervalSum:
     """(1/M) sum_{N <= n <= N+M} nu(n) e^{i n theta}, window ends inclusive.
 
@@ -236,9 +222,8 @@ def short_interval_sum(
     if start < 1 or span < 1:
         raise ValueError("start and span must be positive")
     folding.check_length(table, start + span)
-    turns = _as_turns(theta)
     n_values = np.arange(start, start + span + 1, dtype=np.int64)
-    phases = _phases(_LINEAR, n_values, turns)
+    phases = _phases(_LINEAR, n_values, theta.turns)
     value = complex(np.sum(table.values[start : start + span + 1] * phases) / span)
     return ShortIntervalSum(
         value=value,

@@ -277,18 +277,20 @@ class WeakTypeReport:
     level_counts: tuple[int, ...]
 
 
-def default_lambda_grid(
-    phi: PeriodicSignal, psi: PeriodicSignal, points: int = 64
-) -> np.ndarray:
-    """Logarithmic grid from 1e-4 to ||phi||_inf ||psi||_inf.
+#: Points of the default lambda grid.
+LAMBDA_GRID_POINTS = 64
+
+
+def default_lambda_grid(phi: PeriodicSignal, psi: PeriodicSignal) -> np.ndarray:
+    """Logarithmic grid of LAMBDA_GRID_POINTS from 1e-4 to ||phi||_inf ||psi||_inf.
 
     The level-count function is a step function jumping at the maximal
     values; a log grid brackets the jumps across the dynamic range.
     """
     top = phi.norm(np.inf) * psi.norm(np.inf)
     if top <= 0:
-        return np.full(points, 1e-4)
-    return np.geomspace(1e-4, top, points)
+        return np.full(LAMBDA_GRID_POINTS, 1e-4)
+    return np.geomspace(1e-4, top, LAMBDA_GRID_POINTS)
 
 
 def weak_type_statistic(
@@ -299,25 +301,20 @@ def weak_type_statistic(
     table: WeightTable,
     n_max: int,
     lambda_grid: np.ndarray,
-    p: float = 2.0,
-    q: float = 2.0,
 ) -> WeakTypeReport:
     """Max over the grid of lambda * #{j : global_maximal(j) > lambda}.
 
-    j-counting is unnormalized; the comparison norms ||phi||_p ||psi||_q
-    use plain sums as well.  p and q must be conjugate (1/p + 1/q = 1).
+    j-counting is unnormalized; the comparison norms ||phi||_2 ||psi||_2
+    use plain sums as well.
     """
     grid = np.asarray(lambda_grid, dtype=np.float64)
     if grid.size == 0 or np.any(grid <= 0):
         raise ValueError("lambda grid must be nonempty and positive")
-    inv = (0.0 if p == np.inf else 1.0 / p) + (0.0 if q == np.inf else 1.0 / q)
-    if abs(inv - 1.0) > 1e-9:
-        raise ValueError(f"exponents p={p}, q={q} are not conjugate")
     maximal = np.abs(global_maximal(phi, psi, p_poly, q_poly, table, n_max).values)
     counts = (maximal[None, :] > grid[:, None]).sum(axis=1)
     stats = grid * counts
     best = int(np.argmax(stats))
-    norm_product = phi.norm_counting(p) * psi.norm_counting(q)
+    norm_product = phi.norm_counting(2) * psi.norm_counting(2)
     statistic = float(stats[best])
     return WeakTypeReport(
         statistic=statistic,

@@ -51,10 +51,6 @@ class IntPolynomial:
             acc = acc * n + c
         return acc
 
-    def spec_string(self) -> str:
-        """Round-trippable "c0,c1,...,cd" form (see parse_poly)."""
-        return ",".join(str(c) for c in self.coeffs)
-
 
 def parse_poly(text: str) -> IntPolynomial:
     """Parse "c0,c1,...,cd" (constant term first) into a polynomial."""
@@ -96,13 +92,3 @@ def eval_mod_range(poly: IntPolynomial, n_values: np.ndarray, m: int) -> np.ndar
     for c in reversed(poly.coeffs):
         acc = (acc * nr + (c % m)) % m
     return acc
-
-
-def maps_naturals_to_naturals(poly: IntPolynomial, probe_limit: int) -> bool:
-    """True when the leading coefficient is positive and P(n) >= 0 for
-    n = 0..probe_limit (finite probe; no symbolic positivity check)."""
-    if probe_limit < 1:
-        raise ValueError("probe_limit must be at least 1")
-    if poly.coeffs[-1] <= 0:
-        return False
-    return all(poly(n) >= 0 for n in range(probe_limit + 1))

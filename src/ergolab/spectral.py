@@ -157,9 +157,6 @@ class OffDiagonalKernel:
     cols: np.ndarray
     masses: np.ndarray
 
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
     def dense(self) -> np.ndarray:
         flat = np.bincount(
             self.rows * self.period + self.cols,
@@ -311,40 +308,3 @@ def l2_norm_of_average(f_spec: Spectrum, g_spec: Spectrum, coeffs: np.ndarray) -
     """
     total = _total_degree_spectrum(f_spec, g_spec, coeffs)
     return float(np.sum(np.abs(total) ** 2))
-
-
-@dataclass(frozen=True)
-class L4BoundRow:
-    length: int
-    l2_norm: float
-    norm4_product: float
-    ratio: float
-
-
-def l4_bound_report(
-    f: PeriodicSignal,
-    g: PeriodicSignal,
-    table: WeightTable,
-    p_poly: IntPolynomial,
-    q_poly: IntPolynomial,
-    n_list: list[int],
-) -> list[L4BoundRow]:
-    """||A_N||_2 against ||f||_4 ||g||_4 for increasing N.
-
-    Emits the measured ratio per N so its decay can be inspected; no hard
-    bound is asserted because the comparison constant is not effective.
-    One folding.orbit_sums pass over the N list gives the running sums S_N
-    at every base point, and ||A_N||_2 = sqrt(mean |S_N / N|^2).
-    """
-    norm4 = f.norm(4) * g.norm(4)
-    norms = []
-    done = 0
-    for block in folding.orbit_sums(table, p_poly, q_poly, f.values, g.values, n_list):
-        lengths = np.array(n_list[done : done + len(block)])
-        done += len(block)
-        averages = np.divide(block, lengths[:, None], dtype=np.complex128)
-        norms.extend(np.sqrt(np.mean(np.abs(averages) ** 2, axis=1)).tolist())
-    return [
-        L4BoundRow(n_max, norm, norm4, norm / norm4 if norm4 > 0 else 0.0)
-        for n_max, norm in zip(n_list, norms)
-    ]

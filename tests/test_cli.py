@@ -668,6 +668,9 @@ def test_repeated_runs_byte_identical(tmp_path):
         ["average", "--system", "cyclic:8", "--g", "const:inf", "--limit", "64"],
         ["average", "--system", "rotation:1/8", "--f", "modes:1=1e400", "--g", "modes:2=1", "--limit", "64"],
         ["average", "--system", "rotation:1/8", "--f", "modes:1=1", "--g", "modes:1=1;2=nanj", "--limit", "64"],
+        # finite observables whose sums sup|f| sup|g| N overflow a float
+        ["average", "--system", "cyclic:4", "--f", "const:1e308", "--g", "const:1e308", "--limit", "4"],
+        ["average", "--system", "rotation:1/3", "--f", "modes:1=1e200", "--g", "modes:1=1e200", "--limit", "4"],
     ],
 )
 def test_out_of_range_orbit_inputs_exit_64(argv, capsys):
@@ -675,6 +678,16 @@ def test_out_of_range_orbit_inputs_exit_64(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("ergolab: error:")
     assert "Traceback" not in err
+
+
+def test_large_finite_observables_average(tmp_path, recwarn):
+    out = tmp_path / "big.csv"
+    argv = ["average", "--system", "cyclic:4", "--f", "const:1e150", "--g", "const:1e150",
+            "--limit", "4", "--out", str(out)]
+    assert main(argv) == 0
+    assert not recwarn.list
+    rows = out.read_text().splitlines()[1:]
+    assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
 
 
 def test_oversized_ladder_exits_64(monkeypatch, capsys):

@@ -8,13 +8,8 @@ from ergolab.dynamics import (
     RationalRotation,
     TrigPolynomial,
     bilinear_average,
-    cauchy_schwarz_split,
-    continued_fraction_convergents,
     convergence_trace,
     multilinear_average,
-    preserves_counting_measure,
-    visits_every_state,
-    windowed_orbit_signal,
 )
 from ergolab.maximal import LacunaryLadder
 from ergolab.polynomials import IntPolynomial
@@ -106,13 +101,6 @@ def test_rotation_by_one_over_j_is_the_cyclic_shift(mobius_100k):
         cyc_trace = convergence_trace(cyc, f_cyc, g_cyc, SQUARE, LINEAR, mobius_100k, ladder, x)
         assert rot_trace.lengths == cyc_trace.lengths
         assert np.array_equal(rot_trace.values, cyc_trace.values)
-
-
-def test_measure_preservation_checks():
-    assert preserves_counting_measure(CyclicShift(17))
-    assert preserves_counting_measure(RationalRotation(5, 12))
-    assert visits_every_state(RationalRotation(5, 12))
-    assert visits_every_state(RationalRotation(1, 97), x=13)
 
 
 def test_rotation_requires_coprime_frequency():
@@ -224,61 +212,3 @@ def test_trace_first_at_least():
     assert trace.final == (128, 0.1)
     with pytest.raises(ValueError):
         trace.first_at_least(1000)
-
-
-def test_continued_fraction_convergents_golden_ratio():
-    phi = (1 + 5**0.5) / 2
-    convergents = continued_fraction_convergents(phi, 1000)
-    # Fibonacci quotients, pairwise coprime, improving approximations.
-    assert (1, 1) in convergents and (987, 610) in convergents
-    import math
-
-    errors = [abs(phi - p / q) for p, q in convergents]
-    assert all(b < a for a, b in zip(errors, errors[1:]))
-    assert all(math.gcd(p, q) == 1 for p, q in convergents)
-    # Convergents feed straight into rotation systems.
-    p, q = convergents[-1]
-    assert visits_every_state(RationalRotation(p, q))
-
-
-def test_windowed_orbit_signal_embedding(mobius_100k):
-    j, n_bar = 97, 8
-    system = CyclicShift(j)
-    f = PeriodicSignal.seeded_pm1(j, 71)
-    period = 128
-    embedded = windowed_orbit_signal(system, f, SQUARE, 5, n_bar, period)
-    for n in (-2 * n_bar, -3, 0, 7, 2 * n_bar):
-        expected = f.values[(5 + SQUARE(n)) % j]
-        assert embedded.values[n % period] == expected
-    # Outside the window the signal vanishes.
-    assert embedded.values[(2 * n_bar + 1) % period] == 0
-    assert np.count_nonzero(embedded.values) == 4 * n_bar + 1
-    with pytest.raises(ValueError):
-        windowed_orbit_signal(system, f, SQUARE, 5, n_bar, 4 * n_bar)
-
-
-def test_windowed_signals_feed_maximal_statistics(mobius_100k):
-    from ergolab.maximal import CLASSICAL_P, CLASSICAL_Q, global_maximal
-
-    j, n_bar = 31, 16
-    system = CyclicShift(j)
-    f = PeriodicSignal.seeded_pm1(j, 81)
-    g = PeriodicSignal.seeded_pm1(j, 82)
-    phi = windowed_orbit_signal(system, f, SQUARE, 3, n_bar, 256)
-    psi = windowed_orbit_signal(system, g, LINEAR, 3, n_bar, 256)
-    top = global_maximal(phi, psi, CLASSICAL_P, CLASSICAL_Q, mobius_100k, n_bar)
-    assert float(np.max(np.abs(top.values))) <= phi.norm(np.inf) * psi.norm(np.inf)
-
-
-def test_cauchy_schwarz_split_bound(mobius_100k):
-    j = 64
-    system = CyclicShift(j)
-    for trial in range(20):
-        f = PeriodicSignal.seeded_complex(j, rng.derive_seed(600, 4 * trial))
-        f1 = PeriodicSignal.seeded_complex(j, rng.derive_seed(600, 4 * trial + 1))
-        g = PeriodicSignal.seeded_complex(j, rng.derive_seed(600, 4 * trial + 2))
-        g1 = PeriodicSignal.seeded_complex(j, rng.derive_seed(600, 4 * trial + 3))
-        lhs, rhs = cauchy_schwarz_split(
-            system, f, f1, g, g1, SQUARE, LINEAR, mobius_100k, 200 + trial, trial % j
-        )
-        assert lhs <= rhs + 1e-12

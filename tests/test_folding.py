@@ -7,6 +7,7 @@ both weights.
 """
 
 import cmath
+import math
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,7 @@ from ergolab.dynamics import (
 from ergolab.expsums import RationalAngle, RationalGrid, grid_scan, weighted_poly_sum
 from ergolab.maximal import CLASSICAL_P, CLASSICAL_Q, LacunaryLadder, band_peaks, global_maximal
 from ergolab.polynomials import IntPolynomial
-from ergolab.spectral import PeriodicSignal, build_kernels, direct_average_all, l4_bound_report
+from ergolab.spectral import PeriodicSignal, build_kernels, direct_average_all
 from ergolab.weights import WeightKind, WeightTable, sieve, zero_table
 from oracles import naive_bilinear_average, naive_weighted_poly_sum
 
@@ -352,7 +353,6 @@ def test_int32_path_matches_complex_path(period, table, p_poly, q_poly, kind, se
             np.concatenate(blocks).astype(np.complex128),
             global_maximal(phi, psi, p_poly, q_poly, table, lengths[-1]).values,
             list(band_peaks(phi, psi, p_poly, q_poly, table, ladder, ladder.band_count)),
-            [(row.l2_norm, row.ratio) for row in l4_bound_report(phi, psi, table, p_poly, q_poly, lengths)],
             direct_average_all(table, p_poly, q_poly, phi, psi, lengths[-1]).values,
             blocks[0].dtype,
         )
@@ -363,13 +363,12 @@ def test_int32_path_matches_complex_path(period, table, p_poly, q_poly, kind, se
         patch.setattr(folding, "_int32_signals", lambda f, g, n_end: None)  # complex128 path
         reference = run()
     assert exact[-1] == np.int32 and reference[-1] == np.complex128
-    sums, maximal, peaks, l4, direct, _ = exact
+    sums, maximal, peaks, direct, _ = exact
     assert same_bits(sums, reference[0])
     assert same_bits(maximal, reference[1])
     assert len(peaks) == len(reference[2])
     assert all(same_bits(a, b) for a, b in zip(peaks, reference[2]))
-    assert same_bits(np.array(l4), np.array(reference[3]))
-    assert same_bits(direct, reference[4])
+    assert same_bits(direct, reference[3])
 
 
 @pytest.mark.parametrize(
@@ -394,6 +393,32 @@ def test_int32_path_needs_real_integers_below_2_31(f_value, g_value, dtype):
     assert block.dtype == dtype
     if dtype == np.int32:
         assert np.array_equal(block, [[f_value * g_value] * 3])
+
+
+def dilate(poly, d):
+    """The polynomial m -> P(d^2 m)."""
+    return IntPolynomial(tuple(c * d ** (2 * i) for i, c in enumerate(poly.coeffs)))
+
+
+def test_liouville_orbit_sums_from_mobius(mobius_100k, liouville_100k):
+    # lambda = mu * 1_squares, so S^lambda_N(j) = sum_{d <= sqrt N} S^mu_{N // d^2}(j),
+    # the d-th sum along P(d^2 .) and Q(d^2 .); both sides are int32 sums.
+    period, n_max = 64, 20_000
+    p_poly, q_poly = IntPolynomial((0, 0, 1)), IntPolynomial((0, 1))
+    f = PeriodicSignal.seeded_pm1(period, 901).values
+    g = PeriodicSignal.seeded_pm1(period, 902).values
+
+    def row(table, p, q, n):
+        (block,) = folding.orbit_sums(table, p, q, f, g, [n])
+        return block[0]
+
+    expected = row(liouville_100k, p_poly, q_poly, n_max)
+    total = sum(
+        row(mobius_100k, dilate(p_poly, d), dilate(q_poly, d), n_max // (d * d))
+        for d in range(1, math.isqrt(n_max) + 1)
+    )
+    assert expected.dtype == total.dtype == np.int32
+    assert np.array_equal(total, expected)
 
 
 def real_or_complex_signal(kind, period, seed):

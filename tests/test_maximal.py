@@ -344,19 +344,6 @@ def test_weak_type_zero_weights():
     assert report.statistic == 0.0
 
 
-def test_weak_type_requires_conjugate_exponents(mobius_100k):
-    phi = PeriodicSignal.seeded_pm1(16, 181)
-    with pytest.raises(ValueError):
-        weak_type_statistic(
-            phi, phi, CLASSICAL_P, CLASSICAL_Q, mobius_100k, 128, np.array([0.5]), p=2.0, q=3.0
-        )
-    # p = 1, q = inf is a valid conjugate pair.
-    report = weak_type_statistic(
-        phi, phi, CLASSICAL_P, CLASSICAL_Q, mobius_100k, 128, np.array([0.5]), p=1.0, q=np.inf
-    )
-    assert report.norm_product == pytest.approx(phi.norm_counting(1) * phi.norm_counting(np.inf))
-
-
 def _literal_ladder(rho, limit):
     """Distinct floor(rho**n) <= limit, one power at a time."""
     members = []

@@ -9,13 +9,11 @@ from ergolab.polynomials import (
     IntPolynomial,
     eval_mod,
     eval_mod_range,
-    maps_naturals_to_naturals,
     parse_poly,
 )
 
 SQUARE = IntPolynomial((0, 0, 1))
 LINEAR = IntPolynomial((0, 1))
-NEG_LINEAR = IntPolynomial((0, -1))
 
 
 def test_eval_mod_small_cases():
@@ -101,12 +99,6 @@ def test_eval_mod_rejects_zero_modulus():
         eval_mod(LINEAR, 3, 0)
 
 
-def test_maps_naturals():
-    assert maps_naturals_to_naturals(SQUARE, 10)
-    assert not maps_naturals_to_naturals(NEG_LINEAR, 10)
-    assert not maps_naturals_to_naturals(IntPolynomial((0, -3, 1)), 2)  # P(1) = -2
-
-
 def test_constructor_trims_and_validates():
     assert IntPolynomial((0, 1, 0)).degree == 1
     with pytest.raises(ValueError):
@@ -123,6 +115,6 @@ def test_parse_poly():
     poly = parse_poly("0,0,1")
     assert poly == SQUARE
     assert parse_poly("0, -1").coeffs == (0, -1)
-    assert parse_poly(poly.spec_string()) == poly
+    assert parse_poly(",".join(map(str, poly.coeffs))) == poly
     with pytest.raises(ValueError):
         parse_poly("0,x,1")

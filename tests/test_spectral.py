@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import max_rel_error, polys
 from ergolab import folding, rng, spectral
-from ergolab.dynamics import CyclicShift, bilinear_average
+from ergolab.dynamics import CyclicShift, RationalRotation, TrigPolynomial, bilinear_average
+from ergolab.expsums import RationalAngle, weighted_poly_sum
 from ergolab.polynomials import IntPolynomial
 from ergolab.spectral import (
     SQUARE_IDENTITY_RTOL,
@@ -20,7 +21,6 @@ from ergolab.spectral import (
     direct_average_all,
     idft,
     l2_norm_of_average,
-    l4_bound_report,
     spectral_average_all,
 )
 from ergolab.weights import WeightKind, partial_sum, sieve, zero_table
@@ -104,13 +104,13 @@ def test_kernels_single_summand(mobius_100k):
         np.add.at(dense, positions, l_kernel.masses)
         assert dense[1 % 32] == 1.0  # P(1) = Q(1) = 1, mass nu(1)/1 = +1
         assert np.count_nonzero(dense) == 1
-    assert l_kernel.total_mass() == pytest.approx(1.0)
+    assert l_kernel.masses.sum() == pytest.approx(1.0)
 
 
 def test_kernel_total_mass_is_partial_mean(mobius_100k):
     n = 4000
     l_kernel = build_kernels(mobius_100k, SQUARE, LINEAR, n, 64)
-    assert l_kernel.total_mass() == pytest.approx(partial_sum(mobius_100k, n) / n)
+    assert l_kernel.masses.sum() == pytest.approx(partial_sum(mobius_100k, n) / n)
 
 
 def test_kernel_transform_reproduces_coefficient_slices(mobius_100k):
@@ -320,11 +320,22 @@ def test_l2_identity_random(mobius_100k):
     assert abs(spectral_side - direct_side) / max(1.0, direct_side) < 1e-9
 
 
-def test_l4_report_zero_weights():
-    zeros = zero_table(10_000)
-    f = PeriodicSignal.seeded_pm1(64, 81)
-    rows = l4_bound_report(f, f, zeros, LINEAR, NEG_LINEAR, [100, 1000, 10_000])
-    assert all(r.ratio == 0.0 for r in rows)
+@pytest.mark.parametrize("weight", ["mobius_100k", "liouville_100k"])
+def test_three_routes_to_one_d_entry(weight, request):
+    # D[k][l] = (1/N) sum nu(n) e((k P(n) + l Q(n)) / J) three ways: the 2-d
+    # transform of the particles, one exponential sum of kP + lQ at 1/J, and
+    # the rotation by 1/J with the characters e_k and e_l at x = 0.
+    table = request.getfixturevalue(weight)
+    j, n = 64, 20_000
+    coeffs = d_coefficients(table, SQUARE, LINEAR, n, j)
+    # at (0, 0), kP + lQ is constant: D[0][0] is the mean of the weights
+    assert abs(coeffs[0][0] - partial_sum(table, n) / n) < 1e-12
+    for k, l in [(0, 1), (1, 0), (3, 5), (0, j - 1), (j - 1, 1), (j - 1, j - 1)]:
+        by_sum = weighted_poly_sum(table, IntPolynomial((0, l, k)), RationalAngle(1, j), n)
+        e_k, e_l = TrigPolynomial((k,), (1,)), TrigPolynomial((l,), (1,))
+        by_rotation = bilinear_average(RationalRotation(1, j), e_k, e_l, SQUARE, LINEAR, table, n, 0)
+        assert abs(by_sum - coeffs[k][l]) < 1e-12
+        assert abs(by_rotation - coeffs[k][l]) < 1e-12
 
 
 L4_TABLES = {kind: sieve(kind, 4096) for kind in WeightKind}
@@ -340,31 +351,17 @@ L4_TABLES = {kind: sieve(kind, 4096) for kind in WeightKind}
     st.integers(0, 2**32 - 1),
 )
 def test_l4_report_matches_spectral_l2_identity(period, n_list, kind, p_poly, q_poly, seed):
-    # The report reads the direct orbit sums; the D[k][l] route is independent.
+    # The orbit sums at every length of the list, from one pass, against
+    # the independent D[k][l] route at each length.
     table = L4_TABLES[kind]
     f = PeriodicSignal.seeded_complex(period, seed)
     g = PeriodicSignal.seeded_complex(period, seed + 1)
-    rows = l4_bound_report(f, g, table, p_poly, q_poly, n_list)
-    assert [row.length for row in rows] == n_list
+    sums = folding.orbit_sums(table, p_poly, q_poly, f.values, g.values, n_list)
+    rows = np.concatenate(list(sums))
+    assert rows.shape == (len(n_list), period)
     f_spec, g_spec = dft(f), dft(g)
-    for row in rows:
-        coeffs = d_coefficients(table, p_poly, q_poly, row.length, period)
+    for n_max, row in zip(n_list, rows):
+        direct = float(np.mean(np.abs(row / n_max) ** 2))
+        coeffs = d_coefficients(table, p_poly, q_poly, n_max, period)
         value = l2_norm_of_average(f_spec, g_spec, coeffs)
-        assert abs(row.l2_norm**2 - value) <= SQUARE_IDENTITY_RTOL * max(1.0, value)
-
-
-def test_l4_report_ratio_falls(mobius_1m):
-    j = 1 << 12
-    f = PeriodicSignal.seeded_pm1(j, 91)
-    g = PeriodicSignal.seeded_pm1(j, 92)
-    rows = l4_bound_report(
-        f, g, mobius_1m, LINEAR, NEG_LINEAR, [1 << k for k in range(10, 19)]
-    )
-    assert rows[-1].ratio < rows[0].ratio
-    assert all(r.norm4_product == rows[0].norm4_product for r in rows)
-
-
-def test_l4_report_requires_increasing_lengths(mobius_100k):
-    f = PeriodicSignal.constant(8)
-    with pytest.raises(ValueError):
-        l4_bound_report(f, f, mobius_100k, LINEAR, NEG_LINEAR, [100, 100])
+        assert abs(direct - value) <= SQUARE_IDENTITY_RTOL * max(1.0, value)
