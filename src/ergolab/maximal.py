@@ -144,6 +144,7 @@ def band_peaks(
     bands = ladder.bands
     members = ladder.members_between(bands[0], bands[band_count])
     sums = folding.orbit_sums(table, p_poly, q_poly, phi.values, psi.values, members)
+    ends = set(bands[1 : band_count + 1])  # the members that close a band
     k, done, peak = 1, 0, None
     for block in sums:
         chunk = members[done : done + len(block)]
@@ -151,7 +152,7 @@ def band_peaks(
         averages = np.divide(block, np.array(chunk)[:, None], dtype=np.complex128)
         if peak is None:  # the first row is N_1, where band 1 opens
             base, peak = averages[0], np.zeros(phi.period)
-        closing = np.flatnonzero(np.isin(chunk, bands[k : band_count + 1])).tolist()
+        closing = [i for i, n in enumerate(chunk) if n in ends]
         start = 0
         # Rows start..end of the open band, end closing it.  The next band
         # opens at end, where |A_N - A_{N_k}| is zero, so it reads from end + 1.
@@ -245,6 +246,12 @@ def global_maximal(
     folding.orbit_sums at those N: one term per segment, one J-long
     update per term, O(N J).  Each block of running sums takes one abs
     and one max; it is divided only where it can raise the peak.
+
+    On orbit_sums' int32 path the pass stops early, exactly: there
+    |S_N(j)| <= M N with M = max|phi| max|psi| an exact integer, and
+    rounding is monotone, so no later |S_N(j)| / N rounds above M.  Once
+    every peak has reached M, no later block can raise one.  For +-1
+    signals and nu(1) = 1 that happens at N = 1, in the first block.
     """
     period = phi.period
     if psi.period != period:
@@ -253,6 +260,9 @@ def global_maximal(
     peak = np.zeros(period, dtype=np.float64)
     lengths = np.flatnonzero(table.values[1 : n_max + 1]) + 1
     if lengths.size:
+        bound = math.inf
+        if folding._int32_signals(phi.values, psi.values, int(lengths[-1])):
+            bound = float(np.max(np.abs(phi.values)) * np.max(np.abs(psi.values)))
         done = 0
         for block in folding.orbit_sums(table, p_poly, q_poly, phi.values, psi.values, lengths):
             n_values = lengths[done : done + len(block), None]
@@ -262,6 +272,8 @@ def global_maximal(
             # peak that max |S_N| / (its least N) does not pass.
             if not np.all(levels.max(axis=0) / n_values[0] <= peak):
                 np.maximum(peak, (levels / n_values).max(axis=0), out=peak)
+            if np.all(peak >= bound):
+                break
     return PeriodicSignal(period, peak.astype(np.complex128))
 
 

@@ -436,12 +436,14 @@ def test_spectral_check_loads_the_pool_only_with_threads(tmp_path):
 
 
 def test_children_load_only_their_own_layers(tmp_path):
-    # import ergolab and import ergolab.cli load no numpy: report and a
-    # usage error never pay for it, and sieve loads weights alone.
+    # import ergolab and import ergolab.cli load no numpy, dataclasses or
+    # inspect: report and a usage error never pay for them, and sieve
+    # loads weights alone.  No maximal mode loads numpy.ma.
     code = (
         "import sys; import ergolab; from ergolab.cli import main; "
         "code = main(sys.argv[1:]) if sys.argv[1:] else 0; "
-        "print(code, 'numpy' in sys.modules, *sorted(m for m in sys.modules if m.startswith('ergolab.')))"
+        "heavy = {'numpy', 'numpy.ma', 'dataclasses', 'inspect'}; "
+        "print(code, *sorted(m for m in sys.modules if m.startswith('ergolab.') or m in heavy))"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -452,15 +454,37 @@ def test_children_load_only_their_own_layers(tmp_path):
         argv = [sys.executable, "-c", code, *args]
         return subprocess.run(argv, env=env, capture_output=True, text=True, cwd=tmp_path).stdout.split()
 
-    lean = ["False", "ergolab.cli", "ergolab.limits"]
+    lean = ["ergolab.cli", "ergolab.limits"]
     assert child() == ["0", *lean]
     assert child("report", "--inputs", str(csv_path), "--out", "summary.json") == ["0", *lean]
     assert child("sieve", "--nope") == [str(USAGE_EXIT), *lean]
     assert child("spectral-check", "--j", str(spectral.MAX_CHECK_PERIOD + 1)) == [str(USAGE_EXIT), *lean]
-    code, numpy_loaded, *modules = child("sieve", "--limit", "100", "--sums", "--out", "mu.csv")
-    assert (code, numpy_loaded) == ("0", "True")
-    assert "ergolab.weights" in modules
+    exit_code, *modules = child("sieve", "--limit", "100", "--sums", "--out", "mu.csv")
+    assert exit_code == "0" and {"numpy", "ergolab.weights"} <= set(modules)
     assert not {"ergolab.spectral", "ergolab.dynamics", "ergolab.maximal", "ergolab.expsums"} & set(modules)
+    for mode in ("oscillation", "band"):
+        exit_code, *modules = child("maximal", "--mode", mode, "--j", "64", "--bands", "5", "--out", f"{mode}.json")
+        assert exit_code == "0" and "ergolab.maximal" in modules and "numpy.ma" not in modules
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["sieve", "--limit", "1000", "--sums", "--out", "mu.csv"], 0),
+        (["spectral-check", "--j", "32", "--n", "200", "--trials", "1", "--inject-fault",
+          "--out", "bad.json"], 2),
+        (["sieve", "--nope"], USAGE_EXIT),
+    ],
+)
+def test_process_entry_exit_codes_in_dev_mode(argv, expected, tmp_path):
+    # python -m ergolab collects and freezes before exit, which skips the
+    # shutdown collection; dev mode must still see no file left open.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "ergolab", *argv]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, cwd=tmp_path)
+    assert done.returncode == expected, done.stderr
+    assert "Warning" not in done.stderr and "Traceback" not in done.stderr, done.stderr
 
 
 def test_reexports_and_limits_are_the_layers_objects():

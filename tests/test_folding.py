@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import polys
-from ergolab import folding
+from ergolab import folding, rng
 from ergolab.dynamics import (
     CyclicShift,
     RationalRotation,
@@ -454,10 +454,12 @@ def test_real_and_complex_signals_mix(period, table, p_poly, q_poly, f_kind, g_k
 def test_global_maximal_holds_blocks_not_rows():
     # Every row at J = 512, N = 2^20 would be 0.64e6 x 512 int32 values,
     # 1.3 GB; a pass holds the fold (its O(N) arrays, about 49 B per n) and
-    # one block of rows.
+    # one block of rows.  phi(0) = 0 keeps the signals on the int32 path
+    # but never lets global_maximal stop at its bound, so this measures a
+    # full blocked pass.
     n_max, period = 1 << 20, 512
     table = sieve(WeightKind.MOBIUS, n_max)
-    phi = PeriodicSignal.seeded_pm1(period, 1)
+    phi = PeriodicSignal(period, np.where(np.arange(period) == 0, 0, rng.pm1(1, period)))
     psi = PeriodicSignal.seeded_pm1(period, 2)
     tracemalloc.start()
     try:

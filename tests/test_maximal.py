@@ -222,6 +222,15 @@ def brute_global_maximal(phi, psi, p_poly, q_poly, table, n_max):
     return peak
 
 
+def integer_with_a_zero(period, seed):
+    """Values in -2..2 with phi(0) = 0: on the int32 path, but the stop at
+    max|phi| max|psi| never fires, since the j with j + P(1) = 0 mod J
+    reads a zero term at N = 1 and stays below the bound."""
+    values = rng.integers_mod(seed, period, 5) - 2
+    values[0] = 0
+    return PeriodicSignal(period, values)
+
+
 ORBIT_POLYS = [LINEAR, IntPolynomial((0, -1)), SQUARE, IntPolynomial((0, 1, 0, 1))]
 GLOBAL_TABLES = {
     "mobius": sieve(WeightKind.MOBIUS, 400),
@@ -237,13 +246,17 @@ GLOBAL_TABLES = {
     st.sampled_from(ORBIT_POLYS),
     st.sampled_from([1, 2, 3, 16, 97]),
     st.integers(1, 400),
-    st.sampled_from(["pm1", "complex"]),
+    st.sampled_from(["pm1", "integer", "complex"]),
     st.integers(0, 2**32 - 1),
     # rows per block of running sums: blocks whose least N is not their last
     st.sampled_from([2, 5, None]),
 )
 def test_global_maximal_matches_brute_sup(kind, p_poly, q_poly, period, n_max, signal, seed, rows):
-    make = PeriodicSignal.seeded_pm1 if signal == "pm1" else PeriodicSignal.seeded_complex
+    make = {
+        "pm1": PeriodicSignal.seeded_pm1,
+        "integer": integer_with_a_zero,
+        "complex": PeriodicSignal.seeded_complex,
+    }[signal]
     phi, psi = make(period, seed), make(period, seed + 1)
     table = GLOBAL_TABLES[kind]
     with pytest.MonkeyPatch.context() as patch:
@@ -252,10 +265,36 @@ def test_global_maximal_matches_brute_sup(kind, p_poly, q_poly, period, n_max, s
         result = global_maximal(phi, psi, p_poly, q_poly, table, n_max).values
     expected = brute_global_maximal(phi, psi, p_poly, q_poly, table, n_max)
     assert np.array_equal(result.imag, np.zeros(period))
-    if signal == "pm1":
+    if signal != "complex":  # the int32 path: exact
         assert np.array_equal(result.real, expected)
     else:
         assert np.max(np.abs(result.real - expected)) <= 1e-12 * max(1.0, np.max(expected))
+
+
+def test_global_maximal_stops_at_its_exact_bound(monkeypatch, mobius_100k):
+    # +-1 signals reach max|phi| max|psi| = 1 at N = 1 everywhere, so the
+    # pass stops after its first block; a zero, or a complex signal,
+    # keeps the full pass.
+    period, n_max = 64, 20000
+    read = []
+    orbit_sums = folding.orbit_sums
+
+    def counted(*args):
+        for block in orbit_sums(*args):
+            read.append(len(block))
+            yield block
+
+    monkeypatch.setattr(folding, "orbit_sums", counted)
+    rows = np.count_nonzero(mobius_100k.values[1 : n_max + 1])
+    blocks = -(-rows // (folding._BLOCK_ELEMENTS // period))
+    phi, psi = PeriodicSignal.seeded_pm1(period, 1), PeriodicSignal.seeded_pm1(period, 2)
+    top = global_maximal(phi, psi, CLASSICAL_P, CLASSICAL_Q, mobius_100k, n_max)
+    assert np.array_equal(top.values, np.ones(period)) and len(read) == 1
+    zeroed = PeriodicSignal(period, np.where(np.arange(period) == 0, 0, phi.values))
+    for f, g in ((zeroed, psi), (PeriodicSignal.seeded_complex(period, 1), psi)):
+        read.clear()
+        global_maximal(f, g, CLASSICAL_P, CLASSICAL_Q, mobius_100k, n_max)
+        assert (len(read), sum(read)) == (blocks, rows)
 
 
 def test_global_maximal_rejects_mismatched_periods(mobius_100k):

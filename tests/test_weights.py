@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergolab import rng
+from ergolab import rng, weights
 from ergolab.weights import (
     DEFAULT_LIMIT_CAP,
     CapacityError,
@@ -80,6 +81,34 @@ def test_sieve_matches_trial_division_at_prime_power_edges(limit):
     mob_oracle, lio_oracle = trial_division_tables(limit)
     assert np.array_equal(sieve(WeightKind.MOBIUS, limit).values[1:], mob_oracle[1:])
     assert np.array_equal(sieve(WeightKind.LIOUVILLE, limit).values[1:], lio_oracle[1:])
+
+
+EDGE_POWERS = (4, 8, 9, 25, 27, 49, 1024, 3125)
+EDGE_ORACLE = trial_division_tables(max(EDGE_POWERS) + 1)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 65537])
+def test_sieve_blocks_match_trial_division_at_prime_power_edges(block, monkeypatch):
+    # Blocks of 1 and 7 n put a block edge next to every prime power; 65537
+    # holds every limit in one block.
+    monkeypatch.setattr(weights, "_SIEVE_BLOCK", block)
+    for limit in sorted({pk + step for pk in EDGE_POWERS for step in (-1, 0, 1)}):
+        for kind, oracle in zip((WeightKind.MOBIUS, WeightKind.LIOUVILLE), EDGE_ORACLE):
+            assert np.array_equal(sieve(kind, limit).values, oracle[: limit + 1]), (kind, limit)
+
+
+@pytest.mark.parametrize("kind", list(WeightKind))
+def test_sieve_scratch_is_one_block(kind):
+    # Beside the int8 table, a sieve holds one block of scratch (about
+    # 9 B per n), never an array per n of the whole range.
+    limit = 1 << 22
+    tracemalloc.start()
+    try:
+        sieve(kind, limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - limit < 16 * weights._SIEVE_BLOCK, peak - limit
 
 
 def test_sieve_matches_scalar_oracle_spot_checks():
