@@ -27,17 +27,15 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import os
 import sys
 import time
-from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
-from typing import NamedTuple
 
-# numpy and the numerical layers are imported by the commands that use
-# them: report and a usage error load neither, and sieve loads weights only.
+# Each subcommand's handler is in its own module, ergolab.commands.<name>,
+# imported when that subcommand runs, with the numerical layers it reads:
+# report and a usage error load no numpy, and sieve loads weights only.
 from . import __version__
 from .limits import (
     MAX_CHECK_PERIOD,
@@ -45,7 +43,6 @@ from .limits import (
     MAX_GRID_DENOMINATOR,
     TOLERANCES,
     CapacityError,
-    check_capacity,
 )
 
 USAGE_EXIT = 64
@@ -55,10 +52,6 @@ USAGE_EXIT = 64
 MAX_THREADS = 64
 MAX_STARTS = 1024
 MAX_TRIALS = 1024
-# Most element updates a maximal run may ask for, max(J, 512) times the
-# sum of min(N_k - N_{k-1}, J) over its orbit_sums lengths: 12 to 15 s of
-# global mode with +-1 signals (int32 sums) on a 2-core machine.
-MAX_WORK = 1 << 32
 
 
 class UsageError(Exception):
@@ -87,19 +80,18 @@ def _default_threads():
     return os.environ.get("ERGO_LAB_THREADS", 1)
 
 
-class _Option(NamedTuple):
+class _Option:
     """One option: flag --some-key, config key some-key or some_key.
 
     A callable default is evaluated at parse time.  low and high bound
     the converted value, inclusive.
     """
 
-    default: object = None
-    convert: Callable = str
-    help: str | None = None
-    choices: tuple = ()
-    low: int | None = None
-    high: int | None = None
+    __slots__ = ("default", "convert", "help", "choices", "low", "high")
+
+    def __init__(self, default=None, convert=str, help=None, choices=(), low=None, high=None):
+        self.default, self.convert, self.help = default, convert, help
+        self.choices, self.low, self.high = choices, low, high
 
 
 # argparse form of the flags that do not take one string
@@ -184,6 +176,17 @@ _OPTIONS: dict[str, dict[str, _Option]] = {
     },
 }
 
+# Each subcommand's line in the top-level help.  Its handler is run() of
+# the module ergolab.commands.<name, "-" read as "_">.
+_SUMMARIES = {
+    "sieve": "write sieved weight values as CSV",
+    "expsum": "weighted polynomial exponential sums",
+    "average": "bilinear averages along a lacunary ladder",
+    "spectral-check": "dual-path Fourier identity check, JSON report",
+    "maximal": "maximal / oscillation statistics, JSON report",
+    "report": "aggregate prior outputs into one JSON summary",
+}
+
 # expsum's mode is an optional positional word, not a flag
 _POSITIONAL = ("expsum", "mode")
 
@@ -199,13 +202,18 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: list) -> _Parser:
+    """The parser of argv: with the subparser of the subcommand argv names
+    alone, or of every subcommand when argv names none (no argument, a
+    flag such as --help, or an unknown word).  The parser of one
+    subcommand reads argv as the full one does."""
     parser = _Parser(prog="ergolab", description=__doc__, argument_default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, options in _OPTIONS.items():
-        p = sub.add_parser(name, help=_COMMANDS[name].__doc__, argument_default=argparse.SUPPRESS)
+    names = argv[:1] if argv[:1] and argv[0] in _OPTIONS else _OPTIONS
+    for name in names:
+        p = sub.add_parser(name, help=_SUMMARIES[name], argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="key=value file; flags take precedence")
-        for key, option in options.items():
+        for key, option in _OPTIONS[name].items():
             form = dict(_FLAG_FORMS.get(option.convert, {}))
             if option.choices:
                 form["metavar"] = "{" + ",".join(option.choices) + "}"
@@ -235,7 +243,8 @@ def _read_config_file(path: str) -> dict:
 
 def parse_args(argv) -> dict:
     """Merged, validated run configuration (defaults < config file < flags)."""
-    explicit = vars(_build_parser().parse_args(list(argv)))
+    argv = list(argv)
+    explicit = vars(_build_parser(argv).parse_args(argv))
     subcommand = explicit.pop("subcommand")
     options = _OPTIONS[subcommand]
 
@@ -337,6 +346,8 @@ def _output(path: str | None):
 
 def _write_report(config: dict, results: dict, status: str = "ok") -> None:
     """The JSON report: configuration, tolerances, status and results."""
+    import json  # only the commands that write JSON load it
+
     payload = {
         "tool": "ergolab",
         "version": __version__,
@@ -456,377 +467,6 @@ def _table(config: dict, limit: int):
     return run_sieve(WeightKind(config["weight"]), limit)
 
 
-# ------------------------------------------------------------ subcommands --
-
-def _cmd_sieve(config: dict) -> int:
-    """write sieved weight values as CSV"""
-    table = _table(config, config["limit"])
-    header, columns = "n,value", [range(1, table.limit + 1), table.values[1:]]
-    if config["sums"]:
-        header, columns = header + ",partial_sum", [*columns, table.cumulative()[1:]]
-    _write_csv(config["out"], header, columns)
-    return 0
-
-
-def _cmd_expsum(config: dict) -> int:
-    """weighted polynomial exponential sums"""
-    import numpy as np
-
-    from .expsums import RationalAngle, RationalGrid, grid_maxima, grid_scan, short_interval_sum
-
-    poly = _poly(config, "poly")
-    mode = config["mode"]
-    if mode == "profile":
-        lengths = _lengths(config["n_list"])
-        limit = max(lengths)
-    elif mode == "scan":
-        limit = config["n_max"]
-    else:
-        limit = config["start"] + config["span"]
-    table = _table(config, limit)
-    if mode == "scan":
-        grid = RationalGrid(config["grid_den"])
-        values = grid_scan(table, poly, grid, config["n_max"])
-        thetas = 2.0 * np.pi * np.arange(grid.denominator) / grid.denominator
-        _write_csv(config["out"], "theta,re,im,abs", [thetas, *_re_im_abs(values)])
-        return 0
-    if mode == "profile":
-        peaks = grid_maxima(table, poly, RationalGrid(config["grid_den"]), lengths)
-        theta_stars, maxima = np.array(peaks).T
-        _write_csv(config["out"], "n,max_abs,theta_star", [lengths, maxima, theta_stars])
-        return 0
-    numer, _, denom = config["theta"].partition("/")
-    try:
-        angle = RationalAngle(int(numer), int(denom))
-    except ValueError as exc:
-        raise UsageError(f"--theta: {exc}") from None
-    result = short_interval_sum(table, angle, config["start"], config["span"])
-    results = {
-        "re": result.value.real,
-        "im": result.value.imag,
-        "abs": abs(result.value),
-        "start": result.start,
-        "span": result.span,
-        "meets_exponent_threshold": result.meets_exponent_threshold,
-    }
-    _write_report(config, results)
-    return 0
-
-
-def _parse_system(spec: str):
-    from . import dynamics
-
-    kind, _, rest = spec.partition(":")
-    try:
-        if kind == "cyclic":
-            return dynamics.CyclicShift(int(rest))
-        if kind == "rotation":
-            numer, _, denom = rest.partition("/")
-            return dynamics.RationalRotation(int(numer), int(denom))
-    except ValueError as exc:
-        raise UsageError(f"--system: {exc}") from None
-    raise UsageError(f"--system: unknown kind {spec!r}")
-
-
-def _finite_complex(text: str) -> complex:
-    value = complex(text)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ValueError(f"{text!r} is not finite")
-    return value
-
-
-def _parse_observable(spec: str, system):
-    from . import dynamics
-    from .spectral import PeriodicSignal
-
-    kind, _, rest = spec.partition(":")
-    try:
-        if isinstance(system, dynamics.CyclicShift):
-            period = system.period
-            if kind == "pm1":
-                return PeriodicSignal.seeded_pm1(period, int(rest))
-            if kind == "complex":
-                return PeriodicSignal.seeded_complex(period, int(rest))
-            if kind == "delta":
-                return PeriodicSignal.delta(period, int(rest))
-            if kind == "const":
-                return PeriodicSignal.constant(period, _finite_complex(rest))
-        else:
-            if kind == "modes":
-                modes, coeffs = [], []
-                for part in rest.split(";"):
-                    mode, _, coeff = part.partition("=")
-                    modes.append(int(mode))
-                    coeffs.append(_finite_complex(coeff))
-                return dynamics.TrigPolynomial(tuple(modes), tuple(coeffs))
-    except ValueError as exc:
-        raise UsageError(f"observable {spec!r}: {exc}") from None
-    raise UsageError(f"observable {spec!r} not valid for {type(system).__name__}")
-
-
-def _sup_bound(observable) -> float:
-    """A bound on sup |f|: the largest |value| of a signal, sum |c| of modes."""
-    from . import dynamics
-
-    if isinstance(observable, dynamics.TrigPolynomial):
-        return sum(map(abs, observable.coeffs))
-    return observable.norm(math.inf)
-
-
-def _cmd_average(config: dict) -> int:
-    """bilinear averages along a lacunary ladder"""
-    from . import dynamics, maximal, rng
-
-    system = _parse_system(config["system"])
-    f = _parse_observable(config["f"], system)
-    g = _parse_observable(config["g"], system)
-    # the running sums stay below sup|f| sup|g| N, which must be a float
-    if not math.isfinite(_sup_bound(f) * _sup_bound(g) * config["limit"]):
-        raise UsageError("--f/--g: sup|f| * sup|g| * --limit overflows a float")
-    p_poly = _poly(config, "poly_p")
-    q_poly = _poly(config, "poly_q")
-    try:  # before the sieve; every start's trace reads this one ladder
-        ladder = maximal.LacunaryLadder.build(config["rho"], config["limit"])
-    except ValueError as exc:
-        raise UsageError(f"--rho/--limit: {exc}") from None
-    table = _table(config, config["limit"])
-    starts = [0]
-    if config["starts"] > 1:
-        others = rng.integers_mod(config["seed"], config["starts"] - 1, system.states)
-        starts.extend(int(s) for s in others)
-    traces = dynamics.convergence_traces(system, f, g, p_poly, q_poly, table, ladder, starts)
-    with _output(config["out"]) as out:  # one start's rows at a time
-        out.write("start,n,re,im,abs\n")
-        for trace in traces:
-            column = [trace.start] * len(trace.lengths)
-            _write_rows(out, [column, trace.lengths, *_re_im_abs(trace.values)])
-    return 0
-
-
-def _pooled_map(fn, items, threads: int):
-    """Order-preserving map; the pool size never affects the output."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor  # loads logging; only pools need it
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _cmd_spectral_check(config: dict) -> int:
-    """dual-path Fourier identity check, JSON report"""
-    import numpy as np
-
-    from . import rng, spectral
-    from .spectral import PeriodicSignal
-
-    period, n_max = config["j"], config["n"]
-    p_poly = _poly(config, "poly_p")
-    q_poly = _poly(config, "poly_q")
-    table = _table(config, n_max)
-    l_kernel = spectral.build_kernels(table, p_poly, q_poly, n_max, period)
-
-    def one_trial(index: int) -> dict:
-        f = PeriodicSignal.seeded_complex(period, rng.derive_seed(config["seed"], 2 * index))
-        g = PeriodicSignal.seeded_complex(period, rng.derive_seed(config["seed"], 2 * index + 1))
-        f_spec, g_spec = spectral.dft(f), spectral.dft(g)
-        back = spectral.idft(f_spec)
-        roundtrip = float(np.max(np.abs(back.values - f.values)))
-        parseval = abs(
-            float(np.mean(np.abs(f.values) ** 2)) - float(np.sum(np.abs(f_spec.coeffs) ** 2))
-        )
-        total = l_kernel.total_degree(f.values, g.values)
-        if config["inject_fault"]:  # what adding 1e-3 to D[1][1] adds to c
-            i = 1 % period
-            total[2 * i % period] += 1e-3 * f_spec.coeffs[i] * g_spec.coeffs[i]
-        a_spec = spectral.idft(spectral.Spectrum(period, total))
-        a_dir = spectral.direct_average_all(table, p_poly, q_poly, f, g, n_max)
-        scale = max(1.0, float(np.max(np.abs(a_dir.values))))
-        conv = float(np.max(np.abs(a_spec.values - a_dir.values))) / scale
-        sq_spec = float(np.sum(np.abs(total) ** 2))
-        sq_dir = float(np.mean(np.abs(a_dir.values) ** 2))
-        square = abs(sq_spec - sq_dir) / max(1.0, sq_dir)
-        return {
-            "trial": index,
-            "roundtrip_error": roundtrip,
-            "parseval_error": parseval,
-            "conv_error": conv,
-            "square_identity_error": square,
-        }
-
-    trials = _pooled_map(one_trial, list(range(config["trials"])), config["threads"])
-    results = {
-        "max_conv_error": max(t["conv_error"] for t in trials),
-        "max_square5_error": max(t["square_identity_error"] for t in trials),
-        "parseval_error": max(t["parseval_error"] for t in trials),
-        "roundtrip_error": max(t["roundtrip_error"] for t in trials),
-        "per_trial": trials,
-    }
-    violated = (
-        results["max_conv_error"] > TOLERANCES["conv_rtol"]
-        or results["max_square5_error"] > TOLERANCES["square_identity_rtol"]
-        or results["parseval_error"] > TOLERANCES["parseval_rtol"]
-        or results["roundtrip_error"] > TOLERANCES["roundtrip_rtol"]
-    )
-    status = "invariant_violation" if violated else "ok"
-    _write_report(config, results, status=status)
-    return 2 if violated else 0
-
-
-def _cmd_maximal(config: dict) -> int:
-    """maximal / oscillation statistics, JSON report"""
-    import numpy as np
-
-    from . import maximal, rng
-    from .spectral import PeriodicSignal
-
-    period = config["j"]
-    phi = PeriodicSignal.seeded_pm1(period, rng.derive_seed(config["seed"], 0))
-    psi = PeriodicSignal.seeded_pm1(period, rng.derive_seed(config["seed"], 1))
-    p_poly = _poly(config, "poly_p")
-    q_poly = _poly(config, "poly_q")
-    mode, n_top = config["mode"], config["n_max"]
-    if mode in ("band", "oscillation") or not n_top:  # the modes that read the ladder
-        try:
-            ladder = maximal.LacunaryLadder.build(config["rho"], 1 << 24, band_count=config["bands"])
-        except ValueError as exc:
-            raise UsageError(f"--rho/--bands: {exc}") from None
-        n_top = n_top or ladder.bands[-1]
-    if mode in ("band", "oscillation"):  # one orbit_sums pass over the members
-        n_read = ladder.bands[-1]
-        spans = np.diff(ladder.members_between(ladder.bands[0], n_read), prepend=0)
-        terms = int(np.minimum(spans, period).sum())
-    else:  # one orbit_sums row per nonzero weight
-        n_read = terms = n_top
-    check_capacity(n_read)  # a table past the sieve cap reports that first
-    # Below J = 512 a J-long update costs about as much as a 512-long one.
-    work = max(period, 512) * terms
-    if work > MAX_WORK:
-        raise UsageError(f"--j {period} over {terms} terms is {work} element updates, "
-                         f"at most {MAX_WORK}")
-    table = _table(config, n_read)
-    if mode == "band":
-        peaks = maximal.band_peaks(phi, psi, p_poly, q_poly, table, ladder, ladder.band_count)
-        signals = (PeriodicSignal(period, peak) for peak in peaks)
-        results = {"bands": [
-            {"band": k, "endpoints": list(ladder.band(k)),
-             "l2_norm": m.norm(2), "max": m.norm(np.inf)}
-            for k, m in enumerate(signals, 1)
-        ]}
-    elif mode == "oscillation":
-        report = maximal.oscillation_sum(
-            phi, psi, p_poly, q_poly, table, ladder, config["bands"]
-        )
-        results = {
-            "band_l2_norms": list(report.band_l2_norms),
-            "cumulative": list(report.cumulative),
-            "ratios": list(report.ratios),
-            "norm4_product": report.norm4_product,
-        }
-    elif mode == "global":
-        signal = maximal.global_maximal(phi, psi, p_poly, q_poly, table, n_top)
-        results = {
-            "n_max": n_top,
-            "l2_norm": signal.norm(2),
-            "l4_norm": signal.norm(4),
-            "max": signal.norm(np.inf),
-        }
-    else:
-        grid = maximal.default_lambda_grid(phi, psi)
-        report = maximal.weak_type_statistic(
-            phi, psi, p_poly, q_poly, table, n_top, grid
-        )
-        results = {
-            "n_max": n_top,
-            "statistic": report.statistic,
-            "lambda_at_max": report.lambda_at_max,
-            "norm_product": report.norm_product,
-            "ratio": report.ratio,
-        }
-    _write_report(config, results)
-    return 0
-
-
-# The line boundaries of str.splitlines; "\r\n" is one boundary.
-_LINE_BREAKS = ("\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
-# Bytes per read of a report input.
-_READ_CHUNK = 1 << 16
-
-
-def _decoded_chunks(handle, digest) -> Iterator[str]:
-    """The text of a binary file, _READ_CHUNK bytes at a time, as
-    bytes.decode("utf-8", errors="replace") gives it whole; each chunk of
-    bytes also goes to digest."""
-    import codecs
-
-    decoder = codecs.getincrementaldecoder("utf-8")(errors="replace")
-    while chunk := handle.read(_READ_CHUNK):
-        digest.update(chunk)
-        yield decoder.decode(chunk)
-    yield decoder.decode(b"", final=True)
-
-
-def _first_line_and_count(chunks: Iterable[str]) -> tuple[str, int]:
-    """(first line, line count) as "".join(chunks).splitlines() gives them,
-    one chunk at a time and without building the list of lines.  A "\r"
-    that ends one chunk and a "\n" that starts the next are one boundary.
-    A break is counted only in a chunk that holds one, which a memchr-fast
-    `in` finds, so a chunk of "\n"-ended lines costs one full pass."""
-    head, count, last, open_line = [], 0, "", True
-    for text in chunks:
-        if not text:
-            continue
-        count += sum(text.count(brk) for brk in _LINE_BREAKS if brk in text)
-        if "\r" in text:
-            count -= text.count("\r\n")
-        if last == "\r" and text[0] == "\n":
-            count -= 1
-        if open_line:
-            ends = [end for end in map(text.find, _LINE_BREAKS) if end >= 0]
-            head.append(text[: min(ends, default=len(text))])
-            open_line = not ends
-        last = text[-1]
-    if last and last not in _LINE_BREAKS:
-        count += 1
-    return "".join(head), count
-
-
-def _cmd_report(config: dict) -> int:
-    """aggregate prior outputs into one JSON summary"""
-    import hashlib  # maps OpenSSL's libcrypto; no other command needs it
-
-    entries = []
-    for path in config["inputs"]:
-        digest = hashlib.sha256()
-        entry = {"path": path, "bytes": 0, "sha256": ""}  # filled once the file is read
-        with open(path, "rb") as handle:
-            chunks = _decoded_chunks(handle, digest)
-            if path.endswith(".json"):
-                entry["kind"] = "json"
-                try:
-                    entry["content"] = json.loads("".join(chunks))
-                except json.JSONDecodeError as exc:
-                    raise UsageError(f"--inputs: {path} is not valid JSON: {exc}") from None
-            else:
-                entry["kind"] = "csv"
-                entry["header"], lines = _first_line_and_count(chunks)
-                entry["rows"] = max(lines - 1, 0)
-            entry["bytes"], entry["sha256"] = handle.tell(), digest.hexdigest()
-        entries.append(entry)
-    _write_report(config, {"inputs": entries})
-    return 0
-
-
-_COMMANDS = {
-    "sieve": _cmd_sieve,
-    "expsum": _cmd_expsum,
-    "average": _cmd_average,
-    "spectral-check": _cmd_spectral_check,
-    "maximal": _cmd_maximal,
-    "report": _cmd_report,
-}
-
-
 # CapacityError: a table past the sieve cap, raised before any allocation
 _FAILURES = (UsageError, CapacityError, OSError)
 
@@ -840,11 +480,20 @@ def _failure(exc: Exception) -> int:
     return USAGE_EXIT
 
 
+def _handler(subcommand: str):
+    """run() of the subcommand's module, ergolab.commands.<name>.  Importing
+    it loads the layers that command reads and no other command.  With a
+    fromlist, __import__ returns the submodule itself, and -X importtime
+    lists it with what it imports."""
+    module = f"{__package__}.commands.{subcommand.replace('-', '_')}"
+    return __import__(module, fromlist=["run"]).run
+
+
 def run(config: dict) -> int:
     """Execute a parsed configuration; returns the process exit code."""
     started = time.monotonic()
     try:
-        code = _COMMANDS[config["subcommand"]](config)
+        code = _handler(config["subcommand"])(config)
     except _FAILURES as exc:
         return _failure(exc)
     print(
@@ -863,20 +512,27 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    """Run main on sys.argv and exit with its code: the process entry of
-    python -m ergolab and of the ergolab script.
+    """Parse sys.argv, run the command and exit with its code: the process
+    entry of python -m ergolab and of the ergolab script.
 
-    The finished command's objects are collected once and then frozen, so
-    the interpreter's shutdown collection skips numpy's and ergolab's
-    objects (about 20 ms of each child).  The collection still finalizes
-    the run's own garbage, so -X dev still reports a file left open.
-    main, which callers run in process, never freezes.
+    The collector stays off while the command's modules are imported, and
+    everything then alive is frozen before it is turned back on: numpy's
+    and ergolab's import-time objects are never garbage, and neither a
+    collection during numpy's import nor one after the run walks them.
+    After the run one collection finalizes the run's own objects, so -X dev
+    still reports a file left open, and a second freeze leaves the
+    interpreter's shutdown collection nothing to walk.  main, which callers
+    run in process, never touches the collector.
     """
-    code = main()
+    gc.disable()
+    try:
+        config = parse_args(sys.argv[1:])
+    except _FAILURES as exc:
+        sys.exit(_failure(exc))
+    _handler(config["subcommand"])
+    gc.freeze()
+    gc.enable()
+    code = run(config)
     gc.collect()
     gc.freeze()
     sys.exit(code)
-
-
-if __name__ == "__main__":
-    console_main()

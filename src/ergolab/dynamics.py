@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -37,15 +36,15 @@ MAX_ROTATION_DENOMINATOR = 1 << 31
 MAX_TRIG_MODES = 64
 
 
-@dataclass(frozen=True)
 class CyclicShift:
     """j -> j + 1 on Z/JZ; preserves normalized counting measure."""
 
-    period: int
+    __slots__ = ("period",)
 
-    def __post_init__(self):
-        if not 1 <= self.period <= MAX_CYCLIC_PERIOD:
+    def __init__(self, period: int):
+        if not 1 <= period <= MAX_CYCLIC_PERIOD:
             raise ValueError("period outside [1, 2^20]")
+        self.period = period
 
     @property
     def states(self) -> int:
@@ -56,18 +55,17 @@ class CyclicShift:
         return 1
 
 
-@dataclass(frozen=True)
 class RationalRotation:
     """x -> x + p/q on the q-point circle {a/q}; requires gcd(p, q) = 1."""
 
-    numerator: int
-    denominator: int
+    __slots__ = ("numerator", "denominator")
 
-    def __post_init__(self):
-        if not 1 <= self.denominator <= MAX_ROTATION_DENOMINATOR:
+    def __init__(self, numerator: int, denominator: int):
+        if not 1 <= denominator <= MAX_ROTATION_DENOMINATOR:
             raise ValueError("denominator outside [1, 2^31]")
-        if gcd(self.numerator, self.denominator) != 1:
+        if gcd(numerator, denominator) != 1:
             raise ValueError("numerator and denominator must be coprime")
+        self.numerator, self.denominator = numerator, denominator
 
     @property
     def states(self) -> int:
@@ -78,20 +76,19 @@ class RationalRotation:
         return self.numerator % self.denominator
 
 
-@dataclass(frozen=True)
 class TrigPolynomial:
     """Finite mode expansion sum_i c_i e^{2 pi i m_i x} on the circle."""
 
-    modes: tuple[int, ...]
-    coeffs: tuple[complex, ...]
+    __slots__ = ("modes", "coeffs")
 
-    def __post_init__(self):
-        if len(self.modes) != len(self.coeffs) or not self.modes:
+    def __init__(self, modes: tuple[int, ...], coeffs: tuple[complex, ...]):
+        if len(modes) != len(coeffs) or not modes:
             raise ValueError("modes and coeffs must be equal-length and nonempty")
-        if len(self.modes) > MAX_TRIG_MODES:
+        if len(modes) > MAX_TRIG_MODES:
             raise ValueError(f"at most {MAX_TRIG_MODES} modes supported")
-        if len(set(self.modes)) != len(self.modes):
+        if len(set(modes)) != len(modes):
             raise ValueError("modes must be distinct")
+        self.modes, self.coeffs = modes, coeffs
 
     def at_points(self, numerators: np.ndarray, denominator: int) -> np.ndarray:
         """Values at the circle points numerators/denominator."""
@@ -164,13 +161,14 @@ def multilinear_average(
     return complex(values[0])
 
 
-@dataclass(frozen=True, eq=False)  # values is an array: compare by identity
 class AverageTrace:
-    """A_N(x) sampled along the lacunary ladder."""
+    """A_N(x) sampled along the lacunary ladder; values is a read-only
+    complex128 array, one per length."""
 
-    start: int
-    lengths: tuple[int, ...]
-    values: np.ndarray  # read-only complex128, one per length
+    __slots__ = ("start", "lengths", "values")
+
+    def __init__(self, start: int, lengths: tuple[int, ...], values: np.ndarray):
+        self.start, self.lengths, self.values = start, lengths, values
 
     def first_at_least(self, n_min: int) -> tuple[int, complex]:
         for n_value, value in zip(self.lengths, self.values):

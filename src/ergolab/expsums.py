@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -36,28 +34,23 @@ from .weights import WeightTable
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
 class RationalAngle:
-    """Exact angle 2 pi * numerator / denominator, normalized mod 2 pi."""
+    """Exact angle 2 pi * numerator / denominator, normalized mod 2 pi: the
+    fraction of a turn in lowest terms, 0 <= numerator < denominator."""
 
-    numerator: int
-    denominator: int
+    __slots__ = ("numerator", "denominator")
 
-    def __post_init__(self):
-        if self.denominator < 1:
+    def __init__(self, numerator: int, denominator: int):
+        if denominator < 1:
             raise ValueError("denominator must be positive")
-        frac = Fraction(self.numerator, self.denominator) % 1
-        object.__setattr__(self, "numerator", frac.numerator)
-        object.__setattr__(self, "denominator", frac.denominator)
-
-    @property
-    def turns(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
+        numerator %= denominator
+        common = math.gcd(numerator, denominator)
+        self.numerator, self.denominator = numerator // common, denominator // common
 
 
-def _phases(poly: IntPolynomial, n_values: np.ndarray, turns: Fraction) -> np.ndarray:
-    """e^{2 pi i P(n) turns} with P(n) * turns reduced mod 1 exactly."""
-    a, q = turns.numerator, turns.denominator
+def _phases(poly: IntPolynomial, n_values: np.ndarray, theta: RationalAngle) -> np.ndarray:
+    """e^{i P(n) theta} with P(n) * theta reduced mod 2 pi exactly."""
+    a, q = theta.numerator, theta.denominator
     residues = (a % q) * eval_mod_range(poly, n_values, q) % q
     # int / int rounds once, also for Python integers past the float range
     return np.exp(2j * np.pi * (residues / q).astype(np.float64))
@@ -71,21 +64,20 @@ def weighted_poly_sum(
     P is evaluated exactly once per class n mod q, and each class phase is
     one complex exponential of its reduced residue.
     """
-    turns = theta.turns
-    _, classes, masses = folding.class_masses(table, turns.denominator, [n_max])
-    phases = _phases(poly, classes, turns)
+    _, classes, masses = folding.class_masses(table, theta.denominator, [n_max])
+    phases = _phases(poly, classes, theta)
     return complex(np.sum(masses * phases) / n_max)
 
 
-@dataclass(frozen=True)
 class RationalGrid:
     """Frequencies 2 pi a / denominator for a = 0..denominator-1."""
 
-    denominator: int
+    __slots__ = ("denominator",)
 
-    def __post_init__(self):
-        if self.denominator < 1:
+    def __init__(self, denominator: int):
+        if denominator < 1:
             raise ValueError("grid denominator must be positive")
+        self.denominator = denominator
 
 
 def grid_scans(
@@ -148,7 +140,6 @@ def max_over_grid(
     return grid_maxima(table, poly, grid, [n_max])[0]
 
 
-@dataclass(frozen=True)
 class DecayProfile:
     """Grid maxima against N with a fitted C / (log N)**A model.
 
@@ -157,13 +148,24 @@ class DecayProfile:
     measured trend is meaningful.
     """
 
-    lengths: tuple[int, ...]
-    max_values: tuple[float, ...]
-    theta_stars: tuple[float, ...]
-    decay_exponent: float
-    exponent_stderr: float
-    amplitude: float
-    residuals: tuple[float, ...]
+    __slots__ = (
+        "lengths", "max_values", "theta_stars", "decay_exponent", "exponent_stderr",
+        "amplitude", "residuals",
+    )
+
+    def __init__(
+        self,
+        lengths: tuple[int, ...],
+        max_values: tuple[float, ...],
+        theta_stars: tuple[float, ...],
+        decay_exponent: float,
+        exponent_stderr: float,
+        amplitude: float,
+        residuals: tuple[float, ...],
+    ):
+        self.lengths, self.max_values, self.theta_stars = lengths, max_values, theta_stars
+        self.decay_exponent, self.exponent_stderr = decay_exponent, exponent_stderr
+        self.amplitude, self.residuals = amplitude, residuals
 
 
 def decay_profile(
@@ -198,14 +200,14 @@ def decay_profile(
     )
 
 
-@dataclass(frozen=True)
 class ShortIntervalSum:
     """Windowed weighted exponential sum with the 5/8-exponent flag."""
 
-    value: complex
-    start: int
-    span: int
-    meets_exponent_threshold: bool
+    __slots__ = ("value", "start", "span", "meets_exponent_threshold")
+
+    def __init__(self, value: complex, start: int, span: int, meets_exponent_threshold: bool):
+        self.value, self.start, self.span = value, start, span
+        self.meets_exponent_threshold = meets_exponent_threshold
 
 
 _LINEAR = IntPolynomial((0, 1))
@@ -223,7 +225,7 @@ def short_interval_sum(
         raise ValueError("start and span must be positive")
     folding.check_length(table, start + span)
     n_values = np.arange(start, start + span + 1, dtype=np.int64)
-    phases = _phases(_LINEAR, n_values, theta.turns)
+    phases = _phases(_LINEAR, n_values, theta)
     value = complex(np.sum(table.values[start : start + span + 1] * phases) / span)
     return ShortIntervalSum(
         value=value,

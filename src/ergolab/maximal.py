@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,14 +43,13 @@ CLASSICAL_Q = IntPolynomial((0, -1))
 MAX_LADDER_MEMBERS = 1 << 20
 
 
-@dataclass(frozen=True)
 class LacunaryLadder:
     """Members floor(rho^n) <= limit (duplicates removed) plus chosen bands."""
 
-    rho: float
-    limit: int
-    members: tuple[int, ...]
-    bands: tuple[int, ...]
+    __slots__ = ("rho", "limit", "members", "bands")
+
+    def __init__(self, rho: float, limit: int, members: tuple[int, ...], bands: tuple[int, ...]):
+        self.rho, self.limit, self.members, self.bands = rho, limit, members, bands
 
     @classmethod
     def build(
@@ -184,15 +182,21 @@ def band_maximal(
     return PeriodicSignal(phi.period, peak.astype(np.complex128))
 
 
-@dataclass(frozen=True)
 class OscillationReport:
     """Per-band l2 norms, their running sums, and the sqrt(K)-normalized ratios."""
 
-    band_count: int
-    band_l2_norms: tuple[float, ...]
-    cumulative: tuple[float, ...]
-    norm4_product: float
-    ratios: tuple[float, ...]
+    __slots__ = ("band_count", "band_l2_norms", "cumulative", "norm4_product", "ratios")
+
+    def __init__(
+        self,
+        band_count: int,
+        band_l2_norms: tuple[float, ...],
+        cumulative: tuple[float, ...],
+        norm4_product: float,
+        ratios: tuple[float, ...],
+    ):
+        self.band_count, self.band_l2_norms, self.cumulative = band_count, band_l2_norms, cumulative
+        self.norm4_product, self.ratios = norm4_product, ratios
 
     def ratio_at(self, k: int) -> float:
         return self.ratios[k - 1]
@@ -277,16 +281,25 @@ def global_maximal(
     return PeriodicSignal(period, peak.astype(np.complex128))
 
 
-@dataclass(frozen=True)
 class WeakTypeReport:
     """Level-set statistic sup_lambda lambda * #{j : maximal(j) > lambda}."""
 
-    statistic: float
-    lambda_at_max: float
-    norm_product: float
-    ratio: float
-    lambda_grid: tuple[float, ...]
-    level_counts: tuple[int, ...]
+    __slots__ = (
+        "statistic", "lambda_at_max", "norm_product", "ratio", "lambda_grid", "level_counts",
+    )
+
+    def __init__(
+        self,
+        statistic: float,
+        lambda_at_max: float,
+        norm_product: float,
+        ratio: float,
+        lambda_grid: tuple[float, ...],
+        level_counts: tuple[int, ...],
+    ):
+        self.statistic, self.lambda_at_max = statistic, lambda_at_max
+        self.norm_product, self.ratio = norm_product, ratio
+        self.lambda_grid, self.level_counts = lambda_grid, level_counts
 
 
 #: Points of the default lambda grid.

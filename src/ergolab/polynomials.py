@@ -11,8 +11,6 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 MAX_DEGREE = 8
@@ -21,14 +19,16 @@ _COEFF_BOUND = 1 << 63
 _VECTOR_MODULUS_MAX = 3_037_000_499
 
 
-@dataclass(frozen=True)
 class IntPolynomial:
-    """Non-constant polynomial with integer coefficients, constant first."""
+    """Non-constant polynomial with integer coefficients, constant first.
 
-    coeffs: tuple[int, ...]
+    Two polynomials are equal when their trimmed coefficients are.
+    """
 
-    def __post_init__(self):
-        trimmed = list(self.coeffs)
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        trimmed = list(coeffs)
         while len(trimmed) > 1 and trimmed[-1] == 0:
             trimmed.pop()
         if len(trimmed) < 2:
@@ -38,7 +38,15 @@ class IntPolynomial:
         for c in trimmed:
             if not -_COEFF_BOUND <= c < _COEFF_BOUND:
                 raise ValueError("coefficients must fit in signed 64 bits")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in trimmed))
+        self.coeffs = tuple(int(c) for c in trimmed)
+
+    def __eq__(self, other):
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     @property
     def degree(self) -> int:

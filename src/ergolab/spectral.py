@@ -43,8 +43,6 @@ lp norms on Z/JZ use the normalized counting measure:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import folding, rng
@@ -63,15 +61,14 @@ from .polynomials import IntPolynomial
 from .weights import WeightTable
 
 
-@dataclass
 class PeriodicSignal:
     """Complex J-periodic sequence; index arithmetic is always mod J."""
 
-    period: int
-    values: np.ndarray
+    __slots__ = ("period", "values")
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
+    def __init__(self, period: int, values: np.ndarray):
+        self.period = period
+        self.values = np.asarray(values, dtype=np.complex128)
         if self.period < 1 or self.values.shape != (self.period,):
             raise ValueError("values must be a complex vector of length period >= 1")
 
@@ -106,15 +103,14 @@ class PeriodicSignal:
         return float(np.sum(np.abs(self.values) ** p) ** (1.0 / p))
 
 
-@dataclass
 class Spectrum:
     """Fourier coefficients under the 1/J-forward normalization."""
 
-    period: int
-    coeffs: np.ndarray
+    __slots__ = ("period", "coeffs")
 
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
+    def __init__(self, period: int, coeffs: np.ndarray):
+        self.period = period
+        self.coeffs = np.asarray(coeffs, dtype=np.complex128)
         if self.period < 1 or self.coeffs.shape != (self.period,):
             raise ValueError("coeffs must be a complex vector of length period >= 1")
 
@@ -148,14 +144,13 @@ def d_coefficients(
     return OffDiagonalKernel(period, rows, kernel.cols, kernel.masses).transform()
 
 
-@dataclass
 class OffDiagonalKernel:
     """Signed particle masses on (Z/JZ)^2."""
 
-    period: int
-    rows: np.ndarray
-    cols: np.ndarray
-    masses: np.ndarray
+    __slots__ = ("period", "rows", "cols", "masses")
+
+    def __init__(self, period: int, rows: np.ndarray, cols: np.ndarray, masses: np.ndarray):
+        self.period, self.rows, self.cols, self.masses = period, rows, cols, masses
 
     def dense(self) -> np.ndarray:
         flat = np.bincount(

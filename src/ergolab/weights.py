@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .limits import DEFAULT_LIMIT_CAP, CapacityError, check_capacity
@@ -27,7 +25,6 @@ class WeightKind(enum.Enum):
     LIOUVILLE = "liouville"
 
 
-@dataclass
 class WeightTable:
     """Sieved weight values for n = 1..limit.
 
@@ -38,10 +35,11 @@ class WeightTable:
         values: int8 array of length limit+1; index 0 is an unused sentinel.
     """
 
-    kind: WeightKind | None
-    limit: int
-    values: np.ndarray
-    _cumulative: np.ndarray | None = field(default=None, repr=False)
+    __slots__ = ("kind", "limit", "values", "_cumulative")
+
+    def __init__(self, kind: WeightKind | None, limit: int, values: np.ndarray):
+        self.kind, self.limit, self.values = kind, limit, values
+        self._cumulative: np.ndarray | None = None
 
     @classmethod
     def from_values(cls, values: np.ndarray, kind: WeightKind | None = None) -> "WeightTable":
@@ -152,10 +150,11 @@ def partial_sum(table: WeightTable, n: int) -> int:
     return int(table.cumulative()[n])
 
 
-@dataclass(frozen=True)
 class IdentityCheck:
-    holds: bool
-    first_counterexample: int | None
+    __slots__ = ("holds", "first_counterexample")
+
+    def __init__(self, holds: bool, first_counterexample: int | None):
+        self.holds, self.first_counterexample = holds, first_counterexample
 
 
 def check_lambda_mu_identity(
@@ -193,15 +192,21 @@ def zeta_reciprocal_partial(mu_table: WeightTable, s: float, n: int) -> float:
     return float(np.sum(mu_table.values[1 : n + 1] * powers))
 
 
-@dataclass(frozen=True)
 class PartialSumProfile:
     """|partial_sum(N)| against N and against N**exponent at checkpoints."""
 
-    checkpoints: tuple[int, ...]
-    sums: tuple[int, ...]
-    linear_ratios: tuple[float, ...]
-    exponent: float
-    exponent_ratios: tuple[float, ...]
+    __slots__ = ("checkpoints", "sums", "linear_ratios", "exponent", "exponent_ratios")
+
+    def __init__(
+        self,
+        checkpoints: tuple[int, ...],
+        sums: tuple[int, ...],
+        linear_ratios: tuple[float, ...],
+        exponent: float,
+        exponent_ratios: tuple[float, ...],
+    ):
+        self.checkpoints, self.sums, self.linear_ratios = checkpoints, sums, linear_ratios
+        self.exponent, self.exponent_ratios = exponent, exponent_ratios
 
     @property
     def max_exponent_ratio(self) -> float:

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import io
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -15,6 +17,8 @@ from hypothesis import strategies as st
 
 from ergolab import cli, dynamics, expsums, folding, maximal, rng, spectral
 from ergolab.cli import USAGE_EXIT, UsageError, main, parse_args
+from ergolab.commands import maximal as maximal_command
+from ergolab.commands import report as report_command
 from ergolab.polynomials import IntPolynomial
 from ergolab.weights import WeightKind, sieve
 
@@ -435,36 +439,72 @@ def test_spectral_check_loads_the_pool_only_with_threads(tmp_path):
     assert runs["2"][1] == runs["1"][1].replace(b'"threads": 1', b'"threads": 2')
 
 
+def _child_env(**extra) -> dict:
+    """The environment of a child that imports ergolab from this tree."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "ERGO_LAB_THREADS"}
+    return {**env, "PYTHONPATH": path, **extra}
+
+
+# One run of each subcommand, each command's own modes included.
+COMMAND_RUNS = [
+    ["sieve", "--limit", "100", "--sums", "--out", "mu.csv"],
+    ["expsum", "scan", "--n-max", "300", "--grid-den", "8", "--out", "scan.csv"],
+    ["expsum", "profile", "--n-list", "100,300", "--grid-den", "8", "--out", "profile.csv"],
+    ["expsum", "short", "--start", "50", "--span", "20", "--theta", "1/3", "--out", "short.json"],
+    ["average", "--system", "cyclic:31", "--limit", "2048", "--starts", "2", "--out", "a.csv"],
+    ["average", "--system", "rotation:3/7", "--f", "modes:1=1", "--g", "modes:2=1",
+     "--limit", "2048", "--out", "r.csv"],
+    ["spectral-check", "--j", "32", "--n", "200", "--trials", "1", "--out", "check.json"],
+    *(["maximal", "--mode", mode, "--j", "64", "--bands", "5", "--n-max", "500", "--out", f"{mode}.json"]
+      for mode in ("oscillation", "band", "global", "weaktype")),
+    ["report", "--inputs", "mu.csv", "--out", "summary.json"],
+]
+
+
 def test_children_load_only_their_own_layers(tmp_path):
-    # import ergolab and import ergolab.cli load no numpy, dataclasses or
-    # inspect: report and a usage error never pay for them, and sieve
-    # loads weights alone.  No maximal mode loads numpy.ma.
+    # import ergolab.cli adds none of typing, json, dataclasses, inspect and
+    # numpy to what the interpreter starts with: report and a usage error
+    # never pay for them.  Each command imports its own handler module and
+    # no other command's, none loads dataclasses, fractions or numpy.ma,
+    # and sieve loads weights alone.
     code = (
         "import sys; import ergolab; from ergolab.cli import main; "
         "code = main(sys.argv[1:]) if sys.argv[1:] else 0; "
-        "heavy = {'numpy', 'numpy.ma', 'dataclasses', 'inspect'}; "
+        "heavy = {'numpy', 'numpy.ma', 'dataclasses', 'fractions', 'inspect'}; "
         "print(code, *sorted(m for m in sys.modules if m.startswith('ergolab.') or m in heavy))"
     )
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _child_env()
     csv_path = tmp_path / "mu.csv"
     csv_path.write_text("n,value\n1,1\n")
 
-    def child(*args):
+    def child(*args, code=code):
         argv = [sys.executable, "-c", code, *args]
         return subprocess.run(argv, env=env, capture_output=True, text=True, cwd=tmp_path).stdout.split()
 
+    # what import ergolab.cli adds to the modules the interpreter started with
+    added = child(code="import sys; before = set(sys.modules); import ergolab.cli; "
+                       "print(*sorted(set(sys.modules) - before))")
+    assert "ergolab.cli" in added
+    assert not {"typing", "json", "dataclasses", "inspect", "numpy"} & set(added)
     lean = ["ergolab.cli", "ergolab.limits"]
+    report = ["ergolab.cli", "ergolab.commands", "ergolab.commands.report", "ergolab.limits"]
     assert child() == ["0", *lean]
-    assert child("report", "--inputs", str(csv_path), "--out", "summary.json") == ["0", *lean]
+    assert child("report", "--inputs", str(csv_path), "--out", "summary.json") == ["0", *report]
     assert child("sieve", "--nope") == [str(USAGE_EXIT), *lean]
     assert child("spectral-check", "--j", str(spectral.MAX_CHECK_PERIOD + 1)) == [str(USAGE_EXIT), *lean]
-    exit_code, *modules = child("sieve", "--limit", "100", "--sums", "--out", "mu.csv")
-    assert exit_code == "0" and {"numpy", "ergolab.weights"} <= set(modules)
-    assert not {"ergolab.spectral", "ergolab.dynamics", "ergolab.maximal", "ergolab.expsums"} & set(modules)
-    for mode in ("oscillation", "band"):
-        exit_code, *modules = child("maximal", "--mode", mode, "--j", "64", "--bands", "5", "--out", f"{mode}.json")
-        assert exit_code == "0" and "ergolab.maximal" in modules and "numpy.ma" not in modules
+    for argv in COMMAND_RUNS:
+        exit_code, *modules = child(*argv)
+        assert exit_code == "0", argv
+        # a command imports its own module and no other command's
+        handlers = {m for m in modules if m.startswith("ergolab.commands.")}
+        assert handlers == {"ergolab.commands." + argv[0].replace("-", "_")}, argv
+        assert not {"dataclasses", "fractions", "numpy.ma"} & set(modules), argv
+        if argv[0] == "sieve":
+            assert {"numpy", "ergolab.weights"} <= set(modules)
+            assert not {"ergolab.spectral", "ergolab.dynamics", "ergolab.maximal",
+                        "ergolab.expsums"} & set(modules)
 
 
 @pytest.mark.parametrize(
@@ -474,17 +514,66 @@ def test_children_load_only_their_own_layers(tmp_path):
         (["spectral-check", "--j", "32", "--n", "200", "--trials", "1", "--inject-fault",
           "--out", "bad.json"], 2),
         (["sieve", "--nope"], USAGE_EXIT),
+        (["maximal", "--mode", "global", "--j", "64", "--n-max", "1000", "--out", "global.json"], 0),
+        (["average", "--system", "cyclic:31", "--limit", "2048", "--starts", "2", "--out", "a.csv"], 0),
     ],
 )
 def test_process_entry_exit_codes_in_dev_mode(argv, expected, tmp_path):
     # python -m ergolab collects and freezes before exit, which skips the
     # shutdown collection; dev mode must still see no file left open.
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "ergolab", *argv]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True, cwd=tmp_path)
+    done = subprocess.run(argv, env=_child_env(), capture_output=True, text=True, cwd=tmp_path)
     assert done.returncode == expected, done.stderr
     assert "Warning" not in done.stderr and "Traceback" not in done.stderr, done.stderr
+
+
+def test_main_leaves_the_collector_as_it_was(tmp_path, capsys):
+    # Only the process entry, console_main, switches the collector off and
+    # freezes; main, which callers run in process, does neither.
+    out = str(tmp_path / "mu.csv")
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            before = gc.isenabled(), gc.get_freeze_count()
+            assert main(["sieve", "--limit", "100", "--out", out]) == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == before
+            assert main(["sieve", "--nope"]) == USAGE_EXIT
+            assert (gc.isenabled(), gc.get_freeze_count()) == before
+    finally:
+        gc.enable()
+
+
+def test_process_entry_collects_nothing_before_the_freeze(tmp_path):
+    # console_main keeps the collector off while the command's modules
+    # (numpy and the layers) are imported, freezes what is then alive and
+    # turns it back on: no collection starts before that freeze.
+    code = (
+        "import gc, sys\n"
+        "from ergolab import cli\n"
+        "early = []\n"
+        "gc.callbacks.append(lambda phase, info: gc.get_freeze_count() or early.append(info))\n"
+        "try:\n"
+        "    cli.console_main()\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.isenabled(), 'numpy' in sys.modules, len(early))\n"
+    )
+    argv = [sys.executable, "-c", code, "maximal", "--mode", "global", "--j", "64",
+            "--n-max", "1000", "--out", "global.json"]
+    done = subprocess.run(argv, env=_child_env(), capture_output=True, text=True, cwd=tmp_path)
+    assert done.stdout.split() == ["0", "True", "True", "0"], done.stderr
+
+
+SURFACE = json.loads((pathlib.Path(__file__).parent / "cli_surface.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", SURFACE, ids=lambda case: " ".join(case["argv"]) or "no-arguments")
+def test_help_and_usage_errors_keep_their_bytes(case, tmp_path):
+    # cli_surface.json holds what python -m ergolab wrote for each argv
+    # when every subcommand's parser was built on every run: help text,
+    # usage errors and exit codes, at a fixed 80-column width.
+    argv = [sys.executable, "-m", "ergolab", *case["argv"]]
+    done = subprocess.run(argv, env=_child_env(COLUMNS="80"), capture_output=True, text=True, cwd=tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (case["code"], case["stdout"], case["stderr"])
 
 
 def test_reexports_and_limits_are_the_layers_objects():
@@ -627,8 +716,8 @@ def test_report_csv_lines_match_splitlines(tmp_path, monkeypatch, blob):
     path.write_bytes(blob)
     lines = blob.decode("utf-8", errors="replace").splitlines()
     # One-byte reads split every "\r\n" and every multi-byte sequence.
-    for chunk in (1, cli._READ_CHUNK):
-        monkeypatch.setattr(cli, "_READ_CHUNK", chunk)
+    for chunk in (1, report_command._READ_CHUNK):
+        monkeypatch.setattr(report_command, "_READ_CHUNK", chunk)
         out = tmp_path / f"summary{chunk}.json"
         assert main(["report", "--inputs", str(path), "--out", str(out)]) == 0
         (entry,) = json.loads(out.read_text())["results"]["inputs"]
@@ -644,7 +733,7 @@ def test_line_count_matches_splitlines(text):
     lines = text.splitlines()
     for chunk in (1, max(len(text), 1)):
         chunks = [text[i : i + chunk] for i in range(0, len(text), chunk)]
-        assert cli._first_line_and_count(chunks) == (lines[0] if lines else "", len(lines))
+        assert report_command._first_line_and_count(chunks) == (lines[0] if lines else "", len(lines))
 
 
 def test_report_memory_stays_near_input_size(tmp_path):
@@ -944,10 +1033,10 @@ def test_work_bound_exits_64_before_sieving(argv, work, monkeypatch, capsys):
         raise Sieved
 
     monkeypatch.setattr(cli, "run_sieve", no_sieve)
-    monkeypatch.setattr(cli, "MAX_WORK", work - 1)
+    monkeypatch.setattr(maximal_command, "MAX_WORK", work - 1)
     assert main(argv) == USAGE_EXIT
     err = capsys.readouterr().err
     assert err.startswith("ergolab: error:") and f"is {work} element updates" in err
-    monkeypatch.setattr(cli, "MAX_WORK", work)
+    monkeypatch.setattr(maximal_command, "MAX_WORK", work)
     with pytest.raises(Sieved):
         main(argv)
