@@ -21,13 +21,13 @@ def run(config: dict) -> int:
         limit = config["start"] + config["span"]
     table = _table(config, limit)
     if mode == "scan":
-        grid = expsums.RationalGrid(config["grid_den"])
-        values = expsums.grid_scan(table, poly, grid, config["n_max"])
-        thetas = 2.0 * np.pi * np.arange(grid.denominator) / grid.denominator
+        q = config["grid_den"]
+        values = expsums.grid_scan(table, poly, q, config["n_max"])
+        thetas = 2.0 * np.pi * np.arange(q) / q
         _write_csv(config["out"], "theta,re,im,abs", [thetas, *_re_im_abs(values)])
         return 0
     if mode == "profile":
-        peaks = expsums.grid_maxima(table, poly, expsums.RationalGrid(config["grid_den"]), lengths)
+        peaks = expsums.grid_maxima(table, poly, config["grid_den"], lengths)
         theta_stars, maxima = np.array(peaks).T
         _write_csv(config["out"], "n,max_abs,theta_star", [lengths, maxima, theta_stars])
         return 0

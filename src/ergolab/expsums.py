@@ -14,9 +14,10 @@ class masses, and P is evaluated once per class, not once per n.  Grid
 scans over all a for a fixed q reduce to a length-q histogram of the
 class residues followed by one inverse FFT, so a full scan costs
 O(N + q log q) rather than O(N q); scans at several lengths (grid_scans)
-fold once and sum the segment histograms.  Short-interval sums stay
-per-n: their window does not start at n = 1, and when q exceeds the
-window each n is its own class anyway.
+fold once and sum the segment histograms.  Short-interval sums fold
+their window [N, N + M] alone: a window at least as wide as q falls onto
+at most q classes, and a narrower one lists its nonzero n, each its own
+class.
 """
 
 from __future__ import annotations
@@ -48,10 +49,11 @@ class RationalAngle:
         self.numerator, self.denominator = numerator // common, denominator // common
 
 
-def _phases(poly: IntPolynomial, n_values: np.ndarray, theta: RationalAngle) -> np.ndarray:
-    """e^{i P(n) theta} with P(n) * theta reduced mod 2 pi exactly."""
+def _phases(poly: IntPolynomial, classes: np.ndarray, theta: RationalAngle) -> np.ndarray:
+    """e^{i P(r) theta} for each class r mod q, with P(r) * theta reduced
+    mod 2 pi exactly."""
     a, q = theta.numerator, theta.denominator
-    residues = (a % q) * eval_mod_range(poly, n_values, q) % q
+    residues = (a % q) * eval_mod_range(poly, classes, q) % q
     # int / int rounds once, also for Python integers past the float range
     return np.exp(2j * np.pi * (residues / q).astype(np.float64))
 
@@ -59,37 +61,25 @@ def _phases(poly: IntPolynomial, n_values: np.ndarray, theta: RationalAngle) -> 
 def weighted_poly_sum(
     table: WeightTable, poly: IntPolynomial, theta: RationalAngle, n_max: int
 ) -> complex:
-    """(1/N) sum_{n<=N} nu(n) e^{i P(n) theta} with exact phase reduction.
-
-    P is evaluated exactly once per class n mod q, and each class phase is
-    one complex exponential of its reduced residue.
-    """
-    _, classes, masses = folding.class_masses(table, theta.denominator, [n_max])
-    phases = _phases(poly, classes, theta)
-    return complex(np.sum(masses * phases) / n_max)
+    """(1/N) sum_{n<=N} nu(n) e^{i P(n) theta} with exact phase reduction."""
+    return complex(_class_sum(table, poly, theta, 1, n_max) / n_max)
 
 
-class RationalGrid:
-    """Frequencies 2 pi a / denominator for a = 0..denominator-1."""
-
-    __slots__ = ("denominator",)
-
-    def __init__(self, denominator: int):
-        if denominator < 1:
-            raise ValueError("grid denominator must be positive")
-        self.denominator = denominator
+def _class_sum(table: WeightTable, poly: IntPolynomial, theta: RationalAngle, lo: int, hi: int):
+    """sum_{lo <= n <= hi} nu(n) e^{i P(n) theta} from one class_masses
+    pass: P is evaluated once per class n mod q, and each class phase is
+    one complex exponential of its reduced residue."""
+    _, classes, masses = folding.class_masses(table, theta.denominator, [hi], lo)
+    return np.sum(masses * _phases(poly, classes, theta))
 
 
-def grid_scans(
-    table: WeightTable, poly: IntPolynomial, grid: RationalGrid, lengths
-) -> Iterator[np.ndarray]:
-    """Yield grid_scan(table, poly, grid, N) for each N of the strictly
+def grid_scans(table: WeightTable, poly: IntPolynomial, q: int, lengths) -> Iterator[np.ndarray]:
+    """Yield grid_scan(table, poly, q, N) for each N of the strictly
     increasing lengths: one class_masses pass, a histogram of each segment's
     residues summed over the segments, one inverse FFT per length.  The
     histograms are sums of integers, exact in float64, so each scan is
     bitwise the one of its length alone.
     """
-    q = grid.denominator
     offsets, classes, masses = folding.class_masses(table, q, lengths)
     residues = folding.residues(poly, q, lengths[-1])[classes]
     hist = np.zeros(q)
@@ -99,11 +89,9 @@ def grid_scans(
         yield np.fft.ifft(hist) * (q / n_max)
 
 
-def grid_scan(
-    table: WeightTable, poly: IntPolynomial, grid: RationalGrid, n_max: int
-) -> np.ndarray:
+def grid_scan(table: WeightTable, poly: IntPolynomial, q: int, n_max: int) -> np.ndarray:
     """All grid values S(2 pi a / q), a = 0..q-1, via histogram + FFT."""
-    return next(grid_scans(table, poly, grid, [n_max]))
+    return next(grid_scans(table, poly, q, [n_max]))
 
 
 # Moduli within this absolute margin of the maximum count as tied; the
@@ -118,26 +106,27 @@ def _argmax_smallest(values: np.ndarray) -> int:
 
 
 def grid_maxima(
-    table: WeightTable, poly: IntPolynomial, grid: RationalGrid, lengths
+    table: WeightTable, poly: IntPolynomial, q: int, lengths
 ) -> list[tuple[float, float]]:
-    """(theta_star, max |S|) over the grid at each N of lengths, in their
-    order (repeats allowed); ties break to the smallest theta.  Reads one
-    grid_scans pass over the sorted distinct lengths.
+    """(theta_star, max |S|) over the grid 2 pi a / q at each N of lengths,
+    in their order (repeats allowed); ties break to the smallest theta.
+    Reads one grid_scans pass over the sorted distinct lengths.
     """
     distinct = sorted(set(lengths))
     peaks = {}
-    for n_max, scan in zip(distinct, grid_scans(table, poly, grid, distinct)):
+    for n_max, scan in zip(distinct, grid_scans(table, poly, q, distinct)):
         values = np.abs(scan)
         a_star = _argmax_smallest(values)
-        peaks[n_max] = _TWO_PI * a_star / grid.denominator, float(values[a_star])
+        peaks[n_max] = _TWO_PI * a_star / q, float(values[a_star])
     return [peaks[n_max] for n_max in lengths]
 
 
 def max_over_grid(
-    table: WeightTable, poly: IntPolynomial, grid: RationalGrid, n_max: int
+    table: WeightTable, poly: IntPolynomial, q: int, n_max: int
 ) -> tuple[float, float]:
-    """(theta_star, max |S|) over the grid; ties break to the smallest theta."""
-    return grid_maxima(table, poly, grid, [n_max])[0]
+    """(theta_star, max |S|) over the grid 2 pi a / q; ties break to the
+    smallest theta."""
+    return grid_maxima(table, poly, q, [n_max])[0]
 
 
 class DecayProfile:
@@ -169,16 +158,17 @@ class DecayProfile:
 
 
 def decay_profile(
-    table: WeightTable, poly: IntPolynomial, grid: RationalGrid, n_list: list[int]
+    table: WeightTable, poly: IntPolynomial, q: int, n_list: list[int]
 ) -> DecayProfile:
-    """Take grid_maxima over n_list and fit log(max) against log log N."""
+    """Take grid_maxima over the grid 2 pi a / q at n_list and fit log(max)
+    against log log N."""
     if len(n_list) < 3:
         raise ValueError("decay fit needs at least 3 lengths")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     if n_list[0] < 2:
         raise ValueError("decay fit needs every length >= 2, where log log N is finite")
-    thetas, maxima = zip(*grid_maxima(table, poly, grid, n_list))
+    thetas, maxima = zip(*grid_maxima(table, poly, q, n_list))
     if min(maxima) <= 0.0:
         raise ValueError("cannot fit a log-power decay model through zero maxima")
 
@@ -216,17 +206,15 @@ _LINEAR = IntPolynomial((0, 1))
 def short_interval_sum(
     table: WeightTable, theta: RationalAngle, start: int, span: int
 ) -> ShortIntervalSum:
-    """(1/M) sum_{N <= n <= N+M} nu(n) e^{i n theta}, window ends inclusive.
+    """(1/M) sum_{N <= n <= N+M} nu(n) e^{i n theta}, window ends inclusive,
+    folded onto the classes n mod q of the window alone.
 
     The companion flag reports whether M >= N^(5/8), checked in exact
     integer arithmetic as M^8 >= N^5.
     """
     if start < 1 or span < 1:
         raise ValueError("start and span must be positive")
-    folding.check_length(table, start + span)
-    n_values = np.arange(start, start + span + 1, dtype=np.int64)
-    phases = _phases(_LINEAR, n_values, theta)
-    value = complex(np.sum(table.values[start : start + span + 1] * phases) / span)
+    value = complex(_class_sum(table, _LINEAR, theta, start, start + span) / span)
     return ShortIntervalSum(
         value=value,
         start=start,

@@ -13,11 +13,12 @@ This module owns the pieces every folded route needs: the table range
 check, the exact int64 class masses, the class residues P(r) mod J, and
 orbit_sums, the one gather loop for cyclic-shift orbit sums.  Every
 route that reads nu (direct averages, mass kernels, ladder and global
-maximal statistics, dynamics averages, exponential-sum scans) reads it
-through class_masses, once per command: one segmented pass over all the
-lengths a caller needs.  A segment is folded only when it spans the
-period and holds two or more nonzero terms; otherwise each nonzero n is
-its own class, so folding never costs more than the unfolded sum.
+maximal statistics, dynamics averages, exponential-sum scans and
+short-interval sums) reads it through class_masses, once per command:
+one segmented pass over all the lengths a caller needs, from n = 1 or
+from the first n of a window.  A segment is folded only when it spans
+the period and holds two or more nonzero terms; otherwise each nonzero n
+is its own class, so folding never costs more than the unfolded sum.
 """
 
 from __future__ import annotations
@@ -54,24 +55,25 @@ def residues(poly: IntPolynomial, period: int, n_end: int) -> np.ndarray:
 
 
 def class_masses(
-    table: WeightTable, period: int, lengths
+    table: WeightTable, period: int, lengths, start: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Class masses of each segment lengths[k-1] < n <= lengths[k].
 
-    The first segment starts at n = 1.  Returns (offsets, classes,
-    masses): entries offsets[k]:offsets[k+1] are the classes r = n mod
-    period with a nonzero mass in segment k, and their exact int64
+    The first segment is start <= n <= lengths[0].  Returns (offsets,
+    classes, masses): entries offsets[k]:offsets[k+1] are the classes r = n
+    mod period with a nonzero mass in segment k, and their exact int64
     masses.  A segment spanning at least the period and holding two or
     more nonzero terms is folded, its classes in increasing order; any
     other lists its nonzero n in order, each its own class.  So a segment
-    of L terms has at most min(L, period) entries.
+    of L terms has at most min(L, period) entries, and the table is read
+    from start on only.
     """
     if period < 1:
         raise ValueError("period must be at least 1")
-    bounds = np.concatenate(([0], np.asarray(lengths, dtype=np.int64)))
+    bounds = np.concatenate(([start - 1], np.asarray(lengths, dtype=np.int64)))
     spans = np.diff(bounds)
-    if spans.size == 0 or np.any(spans < 1):
-        raise ValueError("lengths must be nonempty and strictly increasing")
+    if start < 1 or spans.size == 0 or np.any(spans < 1):
+        raise ValueError("lengths must be nonempty and strictly increasing from start >= 1")
     check_length(table, int(bounds[-1]))
     # Past the last n every n is its own class; this keeps periods in int64.
     period = min(period, int(bounds[-1]) + 1)
@@ -116,16 +118,19 @@ def class_masses(
 
 
 def _nonzero_counts(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """#{1 <= n <= x : values[n] != 0} for every x in ends, which must not
-    decrease, as int32 (every table stays below the 2e8 sieve cap).
+    """#{ends[0] < n <= x : values[n] != 0} for every x in ends, which must
+    not decrease, as int32 (every table stays below the 2e8 sieve cap).
 
-    The table is counted in blocks of _BLOCK_ELEMENTS n, with a running
-    count only in blocks that hold some x, so the scratch is O(block),
-    never a per-n array of the whole table.
+    The table is counted from ends[0] + 1 in blocks of _BLOCK_ELEMENTS n,
+    with a running count only in blocks that hold some x, so the scratch
+    is O(block), never a per-n array of the table, and a window reads
+    only its own n.
     """
     counts = np.zeros(ends.size, dtype=np.int32)
-    total, i = 0, np.searchsorted(ends, 1)  # x = 0 counts nothing
-    for lo in range(1, int(ends[-1]) + 1 if ends.size else 1, _BLOCK_ELEMENTS):
+    if ends.size == 0:
+        return counts
+    total, i = 0, np.searchsorted(ends, ends[0], side="right")  # x = ends[0] counts nothing
+    for lo in range(int(ends[0]) + 1, int(ends[-1]) + 1, _BLOCK_ELEMENTS):
         block = values[lo : lo + _BLOCK_ELEMENTS]
         j = np.searchsorted(ends, lo + block.size)
         if j > i:

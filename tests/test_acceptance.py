@@ -16,7 +16,7 @@ import pytest
 
 from ergolab import rng
 from ergolab.dynamics import CyclicShift, convergence_trace
-from ergolab.expsums import RationalGrid, max_over_grid
+from ergolab.expsums import max_over_grid
 from ergolab.maximal import (
     CLASSICAL_P,
     CLASSICAL_Q,
@@ -247,11 +247,11 @@ def test_criterion_06_parseval_and_roundtrip():
 
 def test_criterion_07_decay_evidence(mobius_2p20):
     started = time.monotonic()
-    grid = RationalGrid(4096)
+    q = 4096
     summary = []
     for poly, label in ((LINEAR, "n"), (SQUARE, "n^2"), (CUBIC, "n^3+n")):
         values = [
-            max_over_grid(mobius_2p20, poly, grid, 1 << k)[1] for k in (12, 16, 20)
+            max_over_grid(mobius_2p20, poly, q, 1 << k)[1] for k in (12, 16, 20)
         ]
         assert values[0] > values[1] > values[2], (label, values)
         assert values[2] < 0.5 * values[0], (label, values)

@@ -160,7 +160,7 @@ def _sieve_case(rows, sums):
 
 def _scan_case(rows):
     table = sieve(WeightKind.MOBIUS, 500)
-    values = expsums.grid_scan(table, IntPolynomial((0, 0, 1)), expsums.RationalGrid(rows), 500)
+    values = expsums.grid_scan(table, IntPolynomial((0, 0, 1)), rows, 500)
     cells = [
         (repr(2.0 * math.pi * a / rows), *_complex_cells(v)) for a, v in enumerate(values)
     ]
@@ -173,10 +173,9 @@ def _profile_case(rows, unsorted=False):
     if unsorted:  # descending, each length twice: rows come in the given order
         lengths = [40 * (k // 2 + 1) for k in reversed(range(rows))]
     table = sieve(WeightKind.MOBIUS, max(lengths))
-    grid = expsums.RationalGrid(16)
     cells = []
     for n in lengths:
-        theta, value = expsums.max_over_grid(table, IntPolynomial((0, 0, 1)), grid, n)
+        theta, value = expsums.max_over_grid(table, IntPolynomial((0, 0, 1)), 16, n)
         cells.append((n, repr(value), repr(theta)))
     argv = ["expsum", "profile", "--poly", "0,0,1", "--grid-den", "16",
             "--n-list", ",".join(map(str, lengths))]
@@ -861,14 +860,15 @@ def test_sieves_once_to_what_the_mode_reads(argv, limit, monkeypatch, tmp_path):
         ["expsum", "profile", "--n-list", "100,700,400", "--grid-den", "8"],
         ["maximal", "--mode", "global", "--j", "16", "--n-max", "300"],
         ["maximal", "--mode", "weaktype", "--j", "16", "--n-max", "300"],
+        ["expsum", "short", "--start", "100", "--span", "300", "--theta", "3/7"],
     ],
 )
 def test_folds_the_weights_once_per_command(argv, monkeypatch, tmp_path):
     fold, periods = folding.class_masses, []
 
-    def counted(table, period, lengths):
+    def counted(table, period, lengths, start=1):
         periods.append(period)
-        return fold(table, period, lengths)
+        return fold(table, period, lengths, start)
 
     monkeypatch.setattr(folding, "class_masses", counted)
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from ergolab import expsums
 from ergolab.expsums import (
     RationalAngle,
-    RationalGrid,
     decay_profile,
     grid_scan,
     max_over_grid,
@@ -14,7 +14,7 @@ from ergolab.expsums import (
     weighted_poly_sum,
 )
 from ergolab.polynomials import IntPolynomial
-from ergolab.weights import WeightKind, constant_table, partial_sum, sieve, zero_table
+from ergolab.weights import _SIEVE_BLOCK, WeightKind, constant_table, partial_sum, sieve, zero_table
 from oracles import naive_weighted_poly_sum
 
 LINEAR = IntPolynomial((0, 1))
@@ -60,34 +60,33 @@ def test_rejects_bad_inputs(mobius_100k):
 
 
 def test_grid_scan_matches_pointwise_sums(mobius_100k):
-    grid = RationalGrid(64)
-    scan = grid_scan(mobius_100k, SQUARE, grid, 3000)
+    scan = grid_scan(mobius_100k, SQUARE, 64, 3000)
     for a in (0, 1, 17, 63):
         point = weighted_poly_sum(mobius_100k, SQUARE, RationalAngle(a, 64), 3000)
         assert abs(scan[a] - point) < 1e-12
 
 
 def test_max_over_grid_trivial_n1(mobius_100k):
-    theta_star, value = max_over_grid(mobius_100k, SQUARE, RationalGrid(16), 1)
+    theta_star, value = max_over_grid(mobius_100k, SQUARE, 16, 1)
     assert theta_star == 0.0  # all moduli equal 1; ties break to smallest theta
     assert value == pytest.approx(1.0, abs=1e-14)
 
 
 def test_max_over_grid_mobius_linear_is_small(mobius_100k):
     # Measured 0.0278 on this fixed configuration; decay keeps it below 0.05.
-    _, value = max_over_grid(mobius_100k, LINEAR, RationalGrid(2048), 10**4)
+    _, value = max_over_grid(mobius_100k, LINEAR, 2048, 10**4)
     assert value < 0.05
 
 
 def test_grid_refinement_monotonicity(mobius_100k):
-    coarse = max_over_grid(mobius_100k, SQUARE, RationalGrid(256), 10**4)[1]
-    fine = max_over_grid(mobius_100k, SQUARE, RationalGrid(512), 10**4)[1]
+    coarse = max_over_grid(mobius_100k, SQUARE, 256, 10**4)[1]
+    fine = max_over_grid(mobius_100k, SQUARE, 512, 10**4)[1]
     assert coarse <= fine + 1e-12
 
 
 def test_decay_profile_trend(mobius_1m):
     n_list = [1 << k for k in range(10, 21)]
-    profile = decay_profile(mobius_1m, LINEAR, RationalGrid(4096), n_list)
+    profile = decay_profile(mobius_1m, LINEAR, 4096, n_list)
     # Monotone decay from 2^12 onward (measured property of this table).
     tail = profile.max_values[2:]
     assert all(a >= b for a, b in zip(tail, tail[1:]))
@@ -98,7 +97,7 @@ def test_decay_profile_trend(mobius_1m):
 def test_decay_profile_constant_weight_control():
     table = constant_table(1 << 14)
     profile = decay_profile(
-        table, LINEAR, RationalGrid(8), [1 << 10, 1 << 12, 1 << 14]
+        table, LINEAR, 8, [1 << 10, 1 << 12, 1 << 14]
     )
     # theta = 0 is on the grid and the unweighted sum does not decay.
     assert all(abs(v - 1.0) < 1e-12 for v in profile.max_values)
@@ -106,21 +105,21 @@ def test_decay_profile_constant_weight_control():
 
 def test_decay_profiles_of_the_two_weights_stay_close(mobius_1m):
     lio = sieve(WeightKind.LIOUVILLE, 1 << 20)
-    grid = RationalGrid(4096)
+    q = 4096
     for k in (14, 16, 18, 20):
-        vm = max_over_grid(mobius_1m, LINEAR, grid, 1 << k)[1]
-        vl = max_over_grid(lio, LINEAR, grid, 1 << k)[1]
+        vm = max_over_grid(mobius_1m, LINEAR, q, 1 << k)[1]
+        vl = max_over_grid(lio, LINEAR, q, 1 << k)[1]
         assert abs(vm - vl) < 0.02
 
 
 def test_decay_profile_needs_three_lengths(mobius_100k):
     with pytest.raises(ValueError):
-        decay_profile(mobius_100k, LINEAR, RationalGrid(16), [100, 200])
+        decay_profile(mobius_100k, LINEAR, 16, [100, 200])
     with pytest.raises(ValueError):
-        decay_profile(mobius_100k, LINEAR, RationalGrid(16), [100, 200, 150])
+        decay_profile(mobius_100k, LINEAR, 16, [100, 200, 150])
     # log log 1 = -inf would reach the fit
     with pytest.raises(ValueError):
-        decay_profile(mobius_100k, LINEAR, RationalGrid(16), [1, 10, 100])
+        decay_profile(mobius_100k, LINEAR, 16, [1, 10, 100])
 
 
 def test_short_interval_window_is_inclusive(liouville_100k):
@@ -153,6 +152,45 @@ def test_short_interval_against_direct_oracle(liouville_100k):
             oracle += int(liouville_100k.values[k]) * cmath.exp(2j * cmath.pi * (a * k % q) / q)
         assert abs(result.value - oracle / m) < 1e-12
         assert result.meets_exponent_threshold  # m = ceil(n^0.7) >= n^(5/8)
+
+
+@pytest.fixture(scope="module")
+def tables_past_a_sieve_block():
+    return {kind: sieve(kind, _SIEVE_BLOCK + 10**4) for kind in WeightKind}
+
+
+@pytest.mark.parametrize("kind", list(WeightKind))
+@pytest.mark.parametrize("q", [1, 2, 7, 97, 4096, 4294967311])
+def test_short_interval_folded_and_unfolded_windows(tables_past_a_sieve_block, kind, q):
+    # A window of L n with two or more terms folds for q <= L, any other
+    # lists its nonzero n.  Three windows cross a sieve block edge.
+    table = tables_past_a_sieve_block[kind]
+    a = 3 % q
+    windows = [(1, 6000), (_SIEVE_BLOCK - 3000, 6000), (_SIEVE_BLOCK - 40, 80), (_SIEVE_BLOCK, 1)]
+    for start, span in windows:
+        oracle = 0j
+        for n in range(start, start + span + 1):
+            oracle += int(table.values[n]) * cmath.exp(2j * cmath.pi * (a * n % q) / q)
+        result = short_interval_sum(table, RationalAngle(a, q), start, span)
+        assert abs(result.value - oracle / span) < 1e-12, (start, span)
+
+
+def test_short_interval_phases_one_value_per_class(mobius_1m, monkeypatch):
+    # A window of 10^6 + 1 n at q = 7 folds onto at most 7 classes, so
+    # at most 7 phases are taken, not one per n.
+    taken, phases = [], expsums._phases
+
+    def counted(poly, classes, theta):
+        taken.append(len(classes))
+        return phases(poly, classes, theta)
+
+    monkeypatch.setattr(expsums, "_phases", counted)
+    start, span = 10**4, 10**6
+    result = short_interval_sum(mobius_1m, RationalAngle(1, 7), start, span)
+    assert 0 < sum(taken) <= 7, taken
+    n = np.arange(start, start + span + 1)
+    per_n = np.sum(mobius_1m.values[start : start + span + 1] * np.exp(2j * np.pi * (n % 7) / 7))
+    assert abs(result.value - per_n / span) < 1e-12
 
 
 def test_short_interval_exponent_flag():

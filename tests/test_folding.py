@@ -24,7 +24,7 @@ from ergolab.dynamics import (
     bilinear_average,
     convergence_trace,
 )
-from ergolab.expsums import RationalAngle, RationalGrid, grid_scan, weighted_poly_sum
+from ergolab.expsums import RationalAngle, grid_scan, weighted_poly_sum
 from ergolab.maximal import CLASSICAL_P, CLASSICAL_Q, LacunaryLadder, band_peaks, global_maximal
 from ergolab.polynomials import IntPolynomial
 from ergolab.spectral import PeriodicSignal, build_kernels, direct_average_all
@@ -149,7 +149,7 @@ def per_n(poly, n_max, period):
 def test_grid_scan_histogram_matches_per_n(q, n_max, table, poly):
     hist = np.bincount(per_n(poly, n_max, q), weights=table.values[1 : n_max + 1], minlength=q)
     expected = np.fft.ifft(hist) * (q / n_max)
-    assert np.array_equal(grid_scan(table, poly, RationalGrid(q), n_max), expected)
+    assert np.array_equal(grid_scan(table, poly, q, n_max), expected)
 
 
 @SETTINGS
@@ -192,17 +192,22 @@ def test_class_masses_reject_bad_lengths():
             folding.class_masses(table, 8, lengths)
     with pytest.raises(ValueError):
         folding.class_masses(table, 0, [10])
+    # a window must start at n >= 1 and at or below its first length
+    for start in (0, -3, 11, 20):
+        with pytest.raises(ValueError):
+            folding.class_masses(table, 8, [10, 20], start)
 
 
-def per_n_masses(values, period, lengths):
-    """(offsets, classes, masses) from one dict per segment, one n at a time.
+def per_n_masses(values, period, lengths, start=1):
+    """(offsets, classes, masses) from one dict per segment, one n at a time;
+    the first segment starts at n = start.
 
     A segment spanning at least the period lists its classes in increasing
     order (a folded segment, or one with at most one term), any other in
     the order of its n.
     """
     offsets, classes, masses = [0], [], []
-    lo = 1
+    lo = start
     for hi in lengths:
         segment = {}
         for n in range(lo, hi + 1):
@@ -222,23 +227,43 @@ def per_n_masses(values, period, lengths):
 spans = st.lists(st.one_of(st.integers(1, 4), st.integers(5, 150)), min_size=1, max_size=12)
 mass_periods = st.one_of(st.integers(1, 8), st.just(64), st.just(N_CAP + 7))
 mass_tables = st.sampled_from(["mobius", "liouville", "zero", "one term per segment"])
+# blocks of the nonzero count that end inside and past the window
+window_blocks = st.sampled_from([1, 2, 3, 5, 1 << 15])
+
+
+def mass_table(kind, lengths):
+    if kind == "zero":
+        return zero_table(N_CAP)
+    if kind == "one term per segment":
+        values = np.zeros(N_CAP + 1, dtype=np.int8)
+        values[lengths] = TABLES[WeightKind.LIOUVILLE].values[lengths]
+        return WeightTable(None, N_CAP, values)
+    return TABLES[WeightKind(kind)]
 
 
 @SETTINGS
 @given(mass_periods, spans, mass_tables, st.sampled_from(["array", "list", "tuple"]))
 def test_class_masses_match_per_n_dict(period, steps, kind, form):
     lengths = [n for n in np.cumsum(steps).tolist() if n <= N_CAP] or [N_CAP]
-    if kind == "zero":
-        table = zero_table(N_CAP)
-    elif kind == "one term per segment":
-        values = np.zeros(N_CAP + 1, dtype=np.int8)
-        values[lengths] = TABLES[WeightKind.LIOUVILLE].values[lengths]
-        table = WeightTable(None, N_CAP, values)
-    else:
-        table = TABLES[WeightKind(kind)]
+    table = mass_table(kind, lengths)
     given_lengths = {"array": np.array(lengths), "list": lengths, "tuple": tuple(lengths)}[form]
     actual = folding.class_masses(table, period, given_lengths)
     for got, expected in zip(actual, per_n_masses(table.values, period, lengths)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+
+@SETTINGS
+@given(mass_periods, spans, mass_tables, st.integers(1, N_CAP), window_blocks)
+def test_class_masses_of_a_window_match_per_n_dict(period, steps, kind, start, block):
+    # The segments of [start, hi] alone, with the nonzero terms counted in
+    # blocks that start at the window: only n >= start may reach a class.
+    lengths = [start - 1 + n for n in np.cumsum(steps).tolist() if start - 1 + n <= N_CAP] or [N_CAP]
+    table = mass_table(kind, lengths)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(folding, "_BLOCK_ELEMENTS", block)
+        actual = folding.class_masses(table, period, lengths, start)
+    for got, expected in zip(actual, per_n_masses(table.values, period, lengths, start), strict=True):
         assert got.dtype == np.int64
         assert np.array_equal(got, expected)
 
