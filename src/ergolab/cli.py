@@ -330,10 +330,6 @@ def _poly(config: dict, key: str):
 
 # ----------------------------------------------------------------- output --
 
-# Rows per CSV block: the writer holds one block's text, never the file's.
-_CSV_BLOCK_ROWS = 1 << 14
-
-
 @contextmanager
 def _output(path: str | None):
     """stdout (left open) when path is None, else the file at path."""
@@ -359,98 +355,6 @@ def _write_report(config: dict, results: dict, status: str = "ok") -> None:
     }
     with _output(config["out"]) as out:
         out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_csv(path: str | None, header: str, columns) -> None:
-    """The header, then the rows of the columns (see _write_rows)."""
-    with _output(path) as out:
-        out.write(header + "\n")
-        _write_rows(out, columns)
-
-
-def _write_rows(out, columns) -> None:
-    """One line per row of the equal-length columns (numpy arrays, ranges,
-    lists or tuples), _CSV_BLOCK_ROWS at a time; a cell prints as str() of
-    its Python value.  When every column is a range or an integer array,
-    each block is written by _integer_rows; otherwise by str.format, which
-    float cells need for their repr."""
-    import numpy as np
-
-    integer = all(_is_integer(column) for column in columns)
-    line = ",".join(["{}"] * len(columns)) + "\n"
-    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        cells = [column[start : start + _CSV_BLOCK_ROWS] for column in columns]
-        if integer:
-            out.write(_integer_rows(cells))
-            continue
-        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in cells]
-        out.write("".join(map(line.format, *cells)))
-
-
-def _is_integer(column) -> bool:
-    """True for a range and an integer numpy array."""
-    dtype = getattr(column, "dtype", None)
-    return isinstance(column, range) or dtype is not None and dtype.kind in "iu"
-
-
-def _integer_rows(cells) -> str:
-    """The CSV lines of one block of integer columns (ranges or integer
-    arrays), each cell as str() writes it.
-
-    The block becomes one uint8 matrix, a row per line and a column per
-    character.  Each CSV column is a field as wide as its longest cell,
-    then its separator.  Digits fill a field from the right, one floor
-    division by 10 each (in uint32 when every magnitude fits), a "-" goes
-    just left of each negative cell's digits, and a mask keeps what was
-    written: one boolean compress of the matrix is the text, row by row.
-    """
-    import numpy as np
-
-    rows = len(cells[0])
-    fields = []
-    for cell in cells:
-        if isinstance(cell, range):
-            cell = np.arange(cell.start, cell.stop, cell.step, dtype=np.int64)
-        magnitude = cell.astype(np.uint64)  # a negative wraps to 2^64 - |cell|
-        negative = cell < 0 if cell.dtype.kind == "i" else None
-        if negative is not None and negative.any():
-            np.negative(magnitude, out=magnitude, where=negative)
-        else:
-            negative = None
-        top = int(magnitude.max()) if rows else 0
-        if top < 1 << 32:
-            magnitude = magnitude.astype(np.uint32)
-        fields.append((magnitude, negative, len(str(top))))
-    width = sum(digits + (negative is not None) + 1 for _, negative, digits in fields)
-    text = np.empty((rows, width), dtype=np.uint8)
-    keep = np.ones((rows, width), dtype=bool)
-    end = -1  # the separator column of the field before
-    for q, negative, digits in fields:
-        start, end = end + 1, end + 1 + digits + (negative is not None)
-        count = np.ones(rows, dtype=np.intp)  # digits of each cell
-        for k in range(digits):  # units first; q holds magnitude // 10^k
-            column = end - 1 - k
-            if k:  # a leading zero where q is 0
-                np.not_equal(q, 0, out=keep[:, column])
-                count += keep[:, column]
-            quotient = q // 10
-            text[:, column] = q - quotient * 10 + ord("0")
-            q = quotient
-        if negative is not None:  # the sign column is kept only for a "-"
-            keep[:, start] = False
-            at = np.flatnonzero(negative) * width + (end - 1 - count[negative])
-            text.ravel()[at] = ord("-")
-            keep.ravel()[at] = True
-        text[:, end] = ord(",")
-    text[:, -1] = ord("\n")
-    return text[keep].tobytes().decode("ascii")
-
-
-def _re_im_abs(values) -> list:
-    import numpy as np
-
-    # abs(complex) is hypot(re, im); numpy's complex abs can differ in the last digit
-    return [values.real, values.imag, np.hypot(values.real, values.imag)]
 
 
 def run_sieve(kind, limit: int):

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .. import dynamics, maximal, rng
-from ..cli import UsageError, _output, _poly, _re_im_abs, _table, _write_rows
+from ..cli import UsageError, _output, _poly, _table
+from ..csvrows import _re_im_abs, _write_rows
 from ..spectral import PeriodicSignal
 
 
@@ -84,6 +87,7 @@ def run(config: dict) -> int:
     with _output(config["out"]) as out:  # one start's rows at a time
         out.write("start,n,re,im,abs\n")
         for trace in traces:
-            column = [trace.start] * len(trace.lengths)
-            _write_rows(out, [column, trace.lengths, *_re_im_abs(trace.values)])
+            lengths = np.array(trace.lengths)
+            column = np.full(len(lengths), trace.start)
+            _write_rows(out, [column, lengths, *_re_im_abs(trace.values)])
     return 0

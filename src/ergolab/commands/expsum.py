@@ -6,7 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from .. import expsums
-from ..cli import UsageError, _lengths, _poly, _re_im_abs, _table, _write_csv, _write_report
+from ..cli import UsageError, _lengths, _poly, _table, _write_report
+from ..csvrows import _re_im_abs, _write_csv
 
 
 def run(config: dict) -> int:
@@ -29,7 +30,7 @@ def run(config: dict) -> int:
     if mode == "profile":
         peaks = expsums.grid_maxima(table, poly, config["grid_den"], lengths)
         theta_stars, maxima = np.array(peaks).T
-        _write_csv(config["out"], "n,max_abs,theta_star", [lengths, maxima, theta_stars])
+        _write_csv(config["out"], "n,max_abs,theta_star", [np.array(lengths), maxima, theta_stars])
         return 0
     numer, _, denom = config["theta"].partition("/")
     try:

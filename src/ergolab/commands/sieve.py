@@ -5,7 +5,8 @@ from __future__ import annotations
 # _table sieves through weights; importing it here loads it, and numpy,
 # with this module (see cli.console_main).
 from .. import weights  # noqa: F401
-from ..cli import _table, _write_csv
+from ..cli import _table
+from ..csvrows import _write_csv
 
 
 def run(config: dict) -> int:

@@ -51,10 +51,12 @@ class RationalAngle:
 
 def _phases(poly: IntPolynomial, classes: np.ndarray, theta: RationalAngle) -> np.ndarray:
     """e^{i P(r) theta} for each class r mod q, with P(r) * theta reduced
-    mod 2 pi exactly."""
-    a, q = theta.numerator, theta.denominator
-    residues = (a % q) * eval_mod_range(poly, classes, q) % q
-    # int / int rounds once, also for Python integers past the float range
+    mod 2 pi exactly: a * P(r) mod q, with a folded into the coefficients,
+    runs in int64 wherever polynomials.eval_mod_range can."""
+    q = theta.denominator
+    residues = eval_mod_range(poly, classes, q, theta.numerator)
+    if q >= 1 << 53:  # int / int rounds once, also past the float range
+        residues = residues.astype(object)
     return np.exp(2j * np.pi * (residues / q).astype(np.float64))
 
 

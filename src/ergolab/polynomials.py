@@ -2,11 +2,11 @@
 
 Coefficients are stored constant term first.  eval_mod_range runs one
 Horner loop, reduced mod m at every step, over a whole array of
-arguments.  It is exact for every modulus m >= 1: up to
-_VECTOR_MODULUS_MAX, where (m-1)**2 + (m-1) fits in int64, the loop runs
-on int64 elements; above it the same loop runs on Python integers in an
-object-dtype array.  eval_mod is the scalar reference it is tested
-against.
+arguments.  It is exact for every modulus m >= 1: where every step,
+at most (m-1) * max(n mod m) + (m-1), fits in int64, the loop runs on
+int64 elements, which holds for all arguments when m <= 3037000499;
+otherwise the same loop runs on Python integers in an object-dtype
+array.  eval_mod is the scalar reference it is tested against.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import numpy as np
 
 MAX_DEGREE = 8
 _COEFF_BOUND = 1 << 63
-# Largest modulus for which (m-1)**2 + (m-1) fits in int64.
-_VECTOR_MODULUS_MAX = 3_037_000_499
 
 
 class IntPolynomial:
@@ -84,19 +82,28 @@ def eval_mod(poly: IntPolynomial, n: int, m: int) -> int:
     return acc
 
 
-def eval_mod_range(poly: IntPolynomial, n_values: np.ndarray, m: int) -> np.ndarray:
-    """P(n) mod m in [0, m) for an array of int64 arguments, exact for m >= 1.
+def eval_mod_range(
+    poly: IntPolynomial, n_values: np.ndarray, m: int, scale: int = 1
+) -> np.ndarray:
+    """scale * P(n) mod m in [0, m) for an array of int64 arguments, exact
+    for m >= 1.  scale multiplies each coefficient mod m, in Python
+    integers, so no step multiplies two residues.
 
-    The result is int64 for m <= _VECTOR_MODULUS_MAX and an object-dtype
-    array of Python integers above it.
+    The result is int64 when m < 2^63 and each Horner step, at most
+    (m-1) * max(n mod m) + (m-1), is below 2^63, and an object-dtype
+    array of Python integers otherwise.
     """
     if m < 1:
         raise ValueError("modulus must be at least 1")
     n_values = np.asarray(n_values, dtype=np.int64)
-    if m > _VECTOR_MODULUS_MAX:
-        n_values = n_values.astype(object)
-    nr = n_values % m
+    if m < _COEFF_BOUND:
+        nr = n_values % m
+        top = int(nr.max()) if nr.size else 0
+        if (m - 1) * top + (m - 1) >= _COEFF_BOUND:  # a step could overflow int64
+            nr = nr.astype(object)
+    else:
+        nr = n_values.astype(object) % m
     acc = np.zeros_like(nr)
     for c in reversed(poly.coeffs):
-        acc = (acc * nr + (c % m)) % m
+        acc = (acc * nr + scale * c % m) % m
     return acc

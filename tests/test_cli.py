@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergolab import cli, dynamics, expsums, folding, maximal, rng, spectral
+from ergolab import cli, csvrows, dynamics, expsums, folding, maximal, rng, spectral
 from ergolab.cli import USAGE_EXIT, UsageError, main, parse_args
 from ergolab.commands import maximal as maximal_command
 from ergolab.commands import report as report_command
@@ -216,7 +216,7 @@ WRITER_CASES = {
 @pytest.mark.parametrize("rows", ROW_COUNTS)
 @pytest.mark.parametrize("case", sorted(WRITER_CASES))
 def test_csv_blocks_match_the_per_cell_text(case, rows, monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", BLOCK)
+    monkeypatch.setattr(csvrows, "_CSV_BLOCK_ROWS", BLOCK)
     argv, expected = WRITER_CASES[case](rows)
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 0
@@ -227,13 +227,13 @@ def test_csv_blocks_match_the_per_cell_text(case, rows, monkeypatch, tmp_path, c
 
 
 def test_csv_writer_memory_does_not_grow_with_rows(monkeypatch, tmp_path):
-    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 1024)
+    monkeypatch.setattr(csvrows, "_CSV_BLOCK_ROWS", 1024)
     peaks = []
     for rows in (1 << 14, 1 << 16):
         columns = [range(1, rows + 1), np.arange(rows) % 3 - 1, np.linspace(0.0, 1.0, rows)]
         tracemalloc.start()
         try:
-            cli._write_csv(str(tmp_path / "rows.csv"), "n,value,x", columns)
+            csvrows._write_csv(str(tmp_path / "rows.csv"), "n,value,x", columns)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -276,34 +276,39 @@ def integer_columns(draw, rows):
 @given(st.data(), st.integers(0, 9), st.integers(1, 4))
 def test_integer_rows_match_per_cell_str(data, rows, width):
     columns = [data.draw(integer_columns(rows)) for _ in range(width)]
-    assert all(map(cli._is_integer, columns))
+    assert all(map(csvrows._is_numeric, columns))
     expected = _per_cell_rows(columns)
-    assert cli._integer_rows(columns) == expected
+    assert csvrows._numeric_rows(columns) == expected
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch:  # blocks of 4 rows and a rest of 1 to 3
-        patch.setattr(cli, "_CSV_BLOCK_ROWS", 4)
-        cli._write_rows(out, columns)
+        patch.setattr(csvrows, "_CSV_BLOCK_ROWS", 4)
+        csvrows._write_rows(out, columns)
     assert out.getvalue() == expected
 
 
-@pytest.mark.parametrize("rows", [0, 1, cli._CSV_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("rows", [0, 1, csvrows._CSV_BLOCK_ROWS + 1])
 def test_integer_blocks_at_the_block_size(rows):
     # every dtype's edges, cycled down a column as long as two blocks
     columns = [range(-(rows // 2), rows - rows // 2), np.resize(np.array(WIDE_EDGES), rows)]
     columns += [np.resize(np.array(_edges(dtype), dtype=dtype), rows) for dtype in INTEGER_DTYPES]
     out = io.StringIO()
-    cli._write_rows(out, columns)
+    csvrows._write_rows(out, columns)
     assert out.getvalue() == _per_cell_rows(columns)
     assert out.getvalue().count("\n") == rows
 
 
 def test_float_and_list_columns_keep_the_format_path():
-    assert not cli._is_integer(np.array([1.0, 2.5]))
-    assert not cli._is_integer(np.array([True, False]))
-    assert not cli._is_integer([1, 2])
+    # float arrays join integer columns in the character matrix; a bool
+    # array or a list sends the whole block through str.format
+    assert csvrows._is_numeric(np.array([1.0, 2.5]))
+    assert not csvrows._is_numeric(np.array([True, False]))
+    assert not csvrows._is_numeric([1, 2])
     out = io.StringIO()
-    cli._write_rows(out, [range(1, 3), np.array([0.1, 2.0]), np.array([True, False])])
+    csvrows._write_rows(out, [range(1, 3), np.array([0.1, 2.0]), np.array([True, False])])
     assert out.getvalue() == "1,0.1,True\n2,2.0,False\n"
+    out = io.StringIO()
+    csvrows._write_rows(out, [range(1, 3), np.array([0.1, 2.0])])
+    assert out.getvalue() == "1,0.1\n2,2.0\n"
 
 
 def test_average_memory_does_not_grow_with_starts(tmp_path):
@@ -467,7 +472,9 @@ def test_children_load_only_their_own_layers(tmp_path):
     # numpy to what the interpreter starts with: report and a usage error
     # never pay for them.  Each command imports its own handler module and
     # no other command's, none loads dataclasses, fractions or numpy.ma,
-    # and sieve loads weights alone.
+    # and sieve loads weights alone.  The CSV writer, ergolab.csvrows, is
+    # loaded by the commands that write CSV (expsum for its scan and
+    # profile modes) and by no other.
     code = (
         "import sys; import ergolab; from ergolab.cli import main; "
         "code = main(sys.argv[1:]) if sys.argv[1:] else 0; "
@@ -486,7 +493,7 @@ def test_children_load_only_their_own_layers(tmp_path):
     added = child(code="import sys; before = set(sys.modules); import ergolab.cli; "
                        "print(*sorted(set(sys.modules) - before))")
     assert "ergolab.cli" in added
-    assert not {"typing", "json", "dataclasses", "inspect", "numpy"} & set(added)
+    assert not {"typing", "json", "dataclasses", "inspect", "numpy", "ergolab.csvrows"} & set(added)
     lean = ["ergolab.cli", "ergolab.limits"]
     report = ["ergolab.cli", "ergolab.commands", "ergolab.commands.report", "ergolab.limits"]
     assert child() == ["0", *lean]
@@ -500,6 +507,7 @@ def test_children_load_only_their_own_layers(tmp_path):
         handlers = {m for m in modules if m.startswith("ergolab.commands.")}
         assert handlers == {"ergolab.commands." + argv[0].replace("-", "_")}, argv
         assert not {"dataclasses", "fractions", "numpy.ma"} & set(modules), argv
+        assert ("ergolab.csvrows" in modules) == (argv[0] in ("sieve", "expsum", "average")), argv
         if argv[0] == "sieve":
             assert {"numpy", "ergolab.weights"} <= set(modules)
             assert not {"ergolab.spectral", "ergolab.dynamics", "ergolab.maximal",

@@ -193,6 +193,51 @@ def test_short_interval_phases_one_value_per_class(mobius_1m, monkeypatch):
     assert abs(result.value - per_n / span) < 1e-12
 
 
+def test_benchmark_short_window_phases_run_in_int64(monkeypatch):
+    # expsum short --weight liouville --start 2000000 --span 100000
+    # --theta a/4294967311: q is above 3037000499, but every class is
+    # below 2.1e6, so each Horner step fits in int64.
+    dtypes, evaluate = [], expsums.eval_mod_range
+
+    def recorded(*args):
+        result = evaluate(*args)
+        dtypes.append(result.dtype)
+        return result
+
+    monkeypatch.setattr(expsums, "eval_mod_range", recorded)
+    table = sieve(WeightKind.LIOUVILLE, 2_100_000)
+    q = 4294967311
+    for a in (1, 2, q - 1):
+        result = short_interval_sum(table, RationalAngle(a, q), 2_000_000, 100_000)
+        values = table.values[2_000_000 : 2_100_001].tolist()
+        oracle = sum(v * cmath.exp(2j * cmath.pi * (a * n % q) / q)
+                     for n, v in enumerate(values, 2_000_000) if v)
+        assert abs(result.value - oracle / 100_000) < 1e-12
+    assert dtypes == [np.int64] * 3
+
+
+def test_phases_with_a_top_coefficient_zero_mod_q():
+    # a * P(r) mod q with a folded into the coefficients: 3 * (1 + 3 r) is
+    # 3 mod 9 for every r, and 2 * (5 + 7 r^2) mod 7 is the constant 3
+    classes = np.arange(20)
+    phases = expsums._phases(IntPolynomial((1, 3)), classes, RationalAngle(3, 9))
+    assert np.array_equal(phases, np.full(20, np.exp(2j * np.pi * (1 / 3))))
+    phases = expsums._phases(IntPolynomial((5, 0, 7)), classes, RationalAngle(2, 7))
+    assert np.array_equal(phases, np.full(20, np.exp(2j * np.pi * (3 / 7))))
+
+
+@pytest.mark.parametrize("q", [97, 4294967311, 2**53 - 111, 2**53 + 5, 2**70 + 25])
+def test_phases_round_each_residue_once(q):
+    # r / q is Python's correctly rounded int / int, whichever dtype the
+    # residues come in
+    poly = IntPolynomial((7, -3, 0, 11))
+    classes = np.array([0, 1, 2, 12345, 2_000_000, 3 * 10**9])
+    a = q // 3 + 1
+    turns = np.array([(a * poly(int(r))) % q / q for r in classes])
+    assert np.array_equal(expsums._phases(poly, classes, RationalAngle(a, q)),
+                          np.exp(2j * np.pi * turns))
+
+
 def test_short_interval_exponent_flag():
     table = zero_table(10**6)
     # n^(5/8) for n = 10^5 is about 1333.5

@@ -59,7 +59,7 @@ def test_eval_mod_range_fallback_for_huge_modulus():
     assert vec[1] == poly(10**9 + 1) % m
 
 
-# Largest modulus whose Horner steps fit in int64.
+# Largest modulus whose Horner steps fit in int64 for every argument.
 INT64_HORNER_MAX = 3_037_000_499
 INT64 = st.integers(-(2**63), 2**63 - 1)
 moduli = st.one_of(
@@ -78,12 +78,23 @@ def wide_polys(draw):
     return IntPolynomial((*coeffs, lead))
 
 
+# arguments whose residues stay small, as the classes of a short window do
+SMALL_OR_ANY = st.one_of(st.integers(0, 3 * 10**6), INT64)
+
+
 @settings(max_examples=200, deadline=None)
-@given(wide_polys(), st.lists(INT64, min_size=1, max_size=40), moduli)
-def test_eval_mod_range_is_exact_for_every_modulus(poly, ns, m):
+@given(wide_polys(), st.lists(SMALL_OR_ANY, min_size=1, max_size=40), moduli, INT64)
+def test_eval_mod_range_is_exact_for_every_modulus(poly, ns, m, scale):
+    # int64 exactly when each Horner step, at most
+    # (m - 1) * max(n mod m) + (m - 1), fits; always for m <= INT64_HORNER_MAX
     vec = eval_mod_range(poly, np.array(ns, dtype=np.int64), m)
-    assert vec.dtype == (np.int64 if m <= INT64_HORNER_MAX else object)
+    fits = m < 2**63 and (m - 1) * max(n % m for n in ns) + (m - 1) < 2**63
+    assert vec.dtype == (np.int64 if fits else object)
+    assert fits or m > INT64_HORNER_MAX
     assert [int(v) for v in vec] == [eval_mod(poly, n, m) for n in ns]
+    scaled = eval_mod_range(poly, np.array(ns, dtype=np.int64), m, scale)
+    assert scaled.dtype == vec.dtype
+    assert [int(v) for v in scaled] == [scale * eval_mod(poly, n, m) % m for n in ns]
 
 
 def test_eval_mod_is_periodic_in_n():
