@@ -7,7 +7,6 @@ import numpy as np
 
 from .. import expsums
 from ..cli import UsageError, _lengths, _poly, _table, _write_report
-from ..csvrows import _re_im_abs, _write_csv
 
 
 def run(config: dict) -> int:
@@ -22,12 +21,16 @@ def run(config: dict) -> int:
         limit = config["start"] + config["span"]
     table = _table(config, limit)
     if mode == "scan":
+        from ..csvrows import _re_im_abs, _write_csv  # short writes JSON: it never loads the writer
+
         q = config["grid_den"]
         values = expsums.grid_scan(table, poly, q, config["n_max"])
         thetas = 2.0 * np.pi * np.arange(q) / q
         _write_csv(config["out"], "theta,re,im,abs", [thetas, *_re_im_abs(values)])
         return 0
     if mode == "profile":
+        from ..csvrows import _write_csv
+
         peaks = expsums.grid_maxima(table, poly, config["grid_den"], lengths)
         theta_stars, maxima = np.array(peaks).T
         _write_csv(config["out"], "n,max_abs,theta_star", [np.array(lengths), maxima, theta_stars])

@@ -1,12 +1,14 @@
 """CSV rows: equal-length columns written as text, one block of rows at a
 time.
 
-A block whose columns are all ranges, integer arrays or float arrays
+Every column is a range, an integer array or a float array, and a block
 becomes one uint8 matrix of characters, a row per line.  Each column is
 a field of fixed width, then its separator; a cell fills what it needs
 of its field and leaves 0 in the rest, and deleting the zeros is the
 block's text.  Integer cells are str() of the value and float cells
-repr(), byte for byte.  Any other block goes through str.format.
+repr(), byte for byte.  Both take one sign rule: a field with a
+negative cell starts with a sign column, "-" or 0, and the zeros
+between it and the digits close up.
 
 Float cells come from _shortest, which finds the shortest decimal that
 reads back to each float as repr does (Steele and White, "How to print
@@ -34,20 +36,14 @@ def _write_csv(path: str | None, header: str, columns) -> None:
 
 
 def _write_rows(out, columns) -> None:
-    """One line per row of the equal-length columns (numpy arrays, ranges,
-    lists or tuples), _CSV_BLOCK_ROWS at a time; a cell prints as str() of
-    its Python value.  When every column is a range, an integer array or a
-    float array, each block is written by _numeric_rows; otherwise by
-    str.format."""
-    numeric = all(map(_is_numeric, columns))
-    line = ",".join(["{}"] * len(columns)) + "\n"
+    """One line per row of the equal-length columns, _CSV_BLOCK_ROWS at a
+    time, each block written by _numeric_rows; a cell prints as str() of
+    its Python value.  A column that is not numeric (see _is_numeric)
+    raises TypeError."""
+    if not all(map(_is_numeric, columns)):
+        raise TypeError("CSV columns are ranges or integer or float arrays of at most 64 bits")
     for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        cells = [column[start : start + _CSV_BLOCK_ROWS] for column in columns]
-        if numeric:
-            out.write(_numeric_rows(cells))
-            continue
-        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in cells]
-        out.write("".join(map(line.format, *cells)))
+        out.write(_numeric_rows([column[start : start + _CSV_BLOCK_ROWS] for column in columns]))
 
 
 def _is_numeric(column) -> bool:
@@ -110,39 +106,35 @@ def _numeric_rows(cells) -> str:
 
 def _integer_field(cell):
     """(width, fill) of an integer column: fill(text) writes str() of each
-    cell into a field of that many character columns, right-aligned.
+    cell into a field of that many character columns.
 
-    Digits fill the field from the right, one floor division by 10 each
-    (in uint32 when every magnitude fits), a 0 where a cell has no more
-    digits, and a "-" goes just left of each negative cell's digits.
+    As in a float field, a column with a negative cell starts with a sign
+    column, "-" or 0.  Digits fill the rest from the right, one floor
+    division by 10 each (in uint32 when every magnitude fits), a 0 where
+    a cell has no more digits.
     """
-    magnitude = cell.astype(np.uint64)  # a negative wraps to 2^64 - |cell|
-    negative = cell < 0 if cell.dtype.kind == "i" else None
-    if negative is not None and negative.any():
-        np.negative(magnitude, out=magnitude, where=negative)
+    if cell.dtype.kind == "i":
+        magnitude = np.abs(cell.astype(np.int64)).view(np.uint64)  # -2^63 reads as 2^63
+        negative = cell < 0
+        signed = bool(negative.any())
     else:
-        negative = None
+        magnitude, signed = cell.astype(np.uint64), False
     top = int(magnitude.max())
     if top < 1 << 32:
         magnitude = magnitude.astype(np.uint32)
     digits = len(str(top))
-    signed = negative is not None
 
     def fill(text):
+        if signed:
+            text[0] = negative * np.uint8(ord("-"))
         q = magnitude
-        count = np.ones(len(q), dtype=np.intp)  # digits of each cell
         for k in range(digits):  # units first; q holds magnitude // 10^k
             quotient = q // 10
             character = q - quotient * 10 + ord("0")
             if k:  # none where q is 0
-                more = q != 0
-                character *= more
-                count += more
+                character *= q != 0
             text[signed + digits - 1 - k] = character
             q = quotient
-        if signed:
-            text[0] = 0
-            text[digits - count[negative], np.flatnonzero(negative)] = ord("-")
 
     return signed + digits, fill
 

@@ -286,26 +286,36 @@ def test_integer_rows_match_per_cell_str(data, rows, width):
     assert out.getvalue() == expected
 
 
-@pytest.mark.parametrize("rows", [0, 1, csvrows._CSV_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("rows", [0, 1, csvrows._CSV_BLOCK_ROWS + 1, 2 * csvrows._CSV_BLOCK_ROWS + 1])
 def test_integer_blocks_at_the_block_size(rows):
     # every dtype's edges, cycled down a column as long as two blocks
     columns = [range(-(rows // 2), rows - rows // 2), np.resize(np.array(WIDE_EDGES), rows)]
     columns += [np.resize(np.array(_edges(dtype), dtype=dtype), rows) for dtype in INTEGER_DTYPES]
+    # the benchmark's sieve --sums shapes: random +-1 int8 (lambda) and its
+    # random-sign int64 running sums (L(n))
+    signs = np.random.default_rng(rows).choice(np.array([-1, 1], dtype=np.int8), rows)
+    columns += [signs, np.cumsum(signs, dtype=np.int64)]
     out = io.StringIO()
     csvrows._write_rows(out, columns)
     assert out.getvalue() == _per_cell_rows(columns)
     assert out.getvalue().count("\n") == rows
 
 
-def test_float_and_list_columns_keep_the_format_path():
-    # float arrays join integer columns in the character matrix; a bool
-    # array or a list sends the whole block through str.format
+# a bool column would print as digits; longdouble is float64 on some platforms
+NOT_NUMERIC = {"bool": np.array([True, False]), "list": [1, 2], "complex": np.array([1j, 2.0])}
+if np.dtype(np.longdouble).itemsize > 8:
+    NOT_NUMERIC["longdouble"] = np.array([0.5, 2.0], dtype=np.longdouble)
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_NUMERIC))
+def test_columns_other_than_ranges_and_numeric_arrays_raise(kind):
+    assert not csvrows._is_numeric(NOT_NUMERIC[kind])
+    with pytest.raises(TypeError):
+        csvrows._write_rows(io.StringIO(), [range(1, 3), np.array([0.1, 2.0]), NOT_NUMERIC[kind]])
+
+
+def test_float_columns_join_the_character_matrix():
     assert csvrows._is_numeric(np.array([1.0, 2.5]))
-    assert not csvrows._is_numeric(np.array([True, False]))
-    assert not csvrows._is_numeric([1, 2])
-    out = io.StringIO()
-    csvrows._write_rows(out, [range(1, 3), np.array([0.1, 2.0]), np.array([True, False])])
-    assert out.getvalue() == "1,0.1,True\n2,2.0,False\n"
     out = io.StringIO()
     csvrows._write_rows(out, [range(1, 3), np.array([0.1, 2.0])])
     assert out.getvalue() == "1,0.1\n2,2.0\n"
@@ -473,8 +483,8 @@ def test_children_load_only_their_own_layers(tmp_path):
     # never pay for them.  Each command imports its own handler module and
     # no other command's, none loads dataclasses, fractions or numpy.ma,
     # and sieve loads weights alone.  The CSV writer, ergolab.csvrows, is
-    # loaded by the commands that write CSV (expsum for its scan and
-    # profile modes) and by no other.
+    # loaded by the commands that write CSV (sieve, average and expsum scan
+    # and profile) and by no other: not by expsum short, which writes JSON.
     code = (
         "import sys; import ergolab; from ergolab.cli import main; "
         "code = main(sys.argv[1:]) if sys.argv[1:] else 0; "
@@ -507,7 +517,8 @@ def test_children_load_only_their_own_layers(tmp_path):
         handlers = {m for m in modules if m.startswith("ergolab.commands.")}
         assert handlers == {"ergolab.commands." + argv[0].replace("-", "_")}, argv
         assert not {"dataclasses", "fractions", "numpy.ma"} & set(modules), argv
-        assert ("ergolab.csvrows" in modules) == (argv[0] in ("sieve", "expsum", "average")), argv
+        writes_csv = argv[0] in ("sieve", "average") or argv[1] in ("scan", "profile")
+        assert ("ergolab.csvrows" in modules) == writes_csv, argv
         if argv[0] == "sieve":
             assert {"numpy", "ergolab.weights"} <= set(modules)
             assert not {"ergolab.spectral", "ergolab.dynamics", "ergolab.maximal",
