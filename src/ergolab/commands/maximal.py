@@ -1,4 +1,6 @@
-"""maximal: maximal and oscillation statistics on Z/JZ, JSON report."""
+"""maximal: maximal and oscillation statistics on Z/JZ, JSON report.
+
+A run that reads the ladder builds its first --bands + 1 members only."""
 
 from __future__ import annotations
 
@@ -27,10 +29,10 @@ def run(config: dict) -> int:
             ladder = maximal.LacunaryLadder.build(config["rho"], 1 << 24, band_count=config["bands"])
         except ValueError as exc:
             raise UsageError(f"--rho/--bands: {exc}") from None
-        n_top = n_top or ladder.bands[-1]
+        n_top = n_top or ladder.members[-1]
     if mode in ("band", "oscillation"):  # one orbit_sums pass over the members
-        n_read = ladder.bands[-1]
-        spans = np.diff(ladder.members_between(ladder.bands[0], n_read), prepend=0)
+        n_read = ladder.members[-1]
+        spans = np.diff(ladder.members, prepend=0)
         terms = int(np.minimum(spans, period).sum())
     else:  # one orbit_sums row per nonzero weight
         n_read = terms = n_top

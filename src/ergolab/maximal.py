@@ -6,9 +6,9 @@ the running averages are
     A_N(j) = (1/N) sum_{n<=N} nu(n) phi(j + P(n)) psi(j + Q(n)).
 
 The ladder I_rho = {floor(rho^n)} discretizes N.  A band [N_k, N_{k+1}]
-(consecutive chosen ladder members) carries the oscillation function
+of two consecutive ladder members carries the oscillation function
 
-    m_k(j) = max over ladder members N in [N_k, N_{k+1}] of |A_N(j) - A_{N_k}(j)|
+    m_k(j) = |A_{N_{k+1}}(j) - A_{N_k}(j)|
 
 whose normalized l2 norms are summed and compared against
 sqrt(K) * ||phi||_4 ||psi||_4; all K bands come from one band_peaks pass,
@@ -38,24 +38,25 @@ from .weights import WeightTable
 CLASSICAL_P = IntPolynomial((0, 1))
 CLASSICAL_Q = IntPolynomial((0, -1))
 
-#: Most distinct members one ladder may hold.  A rho this close to 1 over
-#: this long a range is rejected instead of built.
+#: Most distinct members one ladder may hold.  An average ladder this
+#: dense up to its limit, or a maximal run asking for this many bands, is
+#: rejected instead of built.
 MAX_LADDER_MEMBERS = 1 << 20
 
 
 class LacunaryLadder:
-    """Members floor(rho^n) <= limit (duplicates removed) plus chosen bands."""
+    """Distinct members floor(rho^n) <= limit; band k is (members[k-1], members[k])."""
 
-    __slots__ = ("rho", "limit", "members", "bands")
+    __slots__ = ("rho", "limit", "members")
 
-    def __init__(self, rho: float, limit: int, members: tuple[int, ...], bands: tuple[int, ...]):
-        self.rho, self.limit, self.members, self.bands = rho, limit, members, bands
+    def __init__(self, rho: float, limit: int, members: tuple[int, ...]):
+        self.rho, self.limit, self.members = rho, limit, members
 
     @classmethod
     def build(
         cls, rho: float, limit: int, band_count: int | None = None
     ) -> "LacunaryLadder":
-        """Default bands are the first band_count+1 ladder members.
+        """Every member up to limit, or only the first band_count+1.
 
         Small rho produces repeated floor values; only distinct members
         are kept, so bands are strictly increasing.  Instead of evaluating
@@ -63,8 +64,9 @@ class LacunaryLadder:
         exceeds the last member: the next exponent if it does, else a log
         estimate corrected one exponent at a time until exact, so members
         match the power-by-power definition.
-        A non-finite rho, rho <= 1 and more than MAX_LADDER_MEMBERS distinct
-        members raise ValueError.
+        A non-finite rho, rho <= 1, more than MAX_LADDER_MEMBERS distinct
+        members, and a band_count below 1 or past the members up to limit
+        raise ValueError.
         """
         if not math.isfinite(rho) or rho <= 1.0:
             raise ValueError("rho must be finite and exceed 1")
@@ -73,7 +75,7 @@ class LacunaryLadder:
         log_rho = math.log1p(rho - 1.0)
         members = [1]
         n = 0
-        while True:
+        while band_count is None or len(members) <= band_count:
             target = members[-1] + 1
             m = n + 1
             value = math.floor(rho**m)
@@ -97,29 +99,27 @@ class LacunaryLadder:
                 )
             members.append(value)
             n = m
-        if band_count is None:
-            bands = tuple(members)
-        else:
-            if band_count < 1 or band_count + 1 > len(members):
-                raise ValueError(
-                    f"band_count {band_count} needs {band_count + 1} members, "
-                    f"ladder has {len(members)}"
-                )
-            bands = tuple(members[: band_count + 1])
-        return cls(rho=rho, limit=limit, members=tuple(members), bands=bands)
+        if band_count is not None and not 1 <= band_count < len(members):
+            raise ValueError(
+                f"band_count {band_count} needs {band_count + 1} members, "
+                f"ladder has {len(members)}"
+            )
+        return cls(rho=rho, limit=limit, members=tuple(members))
+
+    @property
+    def bands(self) -> tuple[int, ...]:
+        """The band endpoints, which are the members."""
+        return self.members
 
     @property
     def band_count(self) -> int:
-        return len(self.bands) - 1
+        return len(self.members) - 1
 
     def band(self, k: int) -> tuple[int, int]:
         """Endpoints (N_k, N_{k+1}) of band k, 1-based."""
         if not 1 <= k <= self.band_count:
             raise ValueError(f"band index {k} outside 1..{self.band_count}")
-        return self.bands[k - 1], self.bands[k]
-
-    def members_between(self, lo: int, hi: int) -> list[int]:
-        return [m for m in self.members if lo <= m <= hi]
+        return self.members[k - 1], self.members[k]
 
 
 def band_peaks(
@@ -131,37 +131,28 @@ def band_peaks(
     ladder: LacunaryLadder,
     band_count: int,
 ) -> Iterator[np.ndarray]:
-    """Yield m_k(j) = max over members N in band k of |A_N(j) - A_{N_k}(j)|,
-    k = 1..band_count, each a fresh J-long float array, from one orbit_sums
-    pass over the members N_1..N_{band_count+1}.  Each band keeps its base
-    average and a running max, taken over the rows of one block of running
-    sums at a time; a band with equal endpoints is zero.
+    """Yield m_k(j) = |A_{N_{k+1}}(j) - A_{N_k}(j)|, k = 1..band_count, each
+    a J-long float array, from one orbit_sums pass over the members
+    N_1..N_{band_count+1}: one subtraction per block of running sums, and
+    one across the edge to the previous block's last average.  Each average
+    is S_N / N rounded once: an int32 sum is real, and a complex sum
+    divides its real and imaginary parts in float64.
     """
     if not 1 <= band_count <= ladder.band_count:
         raise ValueError(f"band_count {band_count} outside 1..{ladder.band_count}")
-    bands = ladder.bands
-    members = ladder.members_between(bands[0], bands[band_count])
-    sums = folding.orbit_sums(table, p_poly, q_poly, phi.values, psi.values, members)
-    ends = set(bands[1 : band_count + 1])  # the members that close a band
-    k, done, peak = 1, 0, None
-    for block in sums:
-        chunk = members[done : done + len(block)]
+    members = ladder.members[: band_count + 1]
+    last, done = None, 0
+    for block in folding.orbit_sums(table, p_poly, q_poly, phi.values, psi.values, members):
+        n_values = np.array(members[done : done + len(block)], dtype=np.float64)[:, None]
         done += len(block)
-        averages = np.divide(block, np.array(chunk)[:, None], dtype=np.complex128)
-        if peak is None:  # the first row is N_1, where band 1 opens
-            base, peak = averages[0], np.zeros(phi.period)
-        closing = [i for i, n in enumerate(chunk) if n in ends]
-        start = 0
-        # Rows start..end of the open band, end closing it.  The next band
-        # opens at end, where |A_N - A_{N_k}| is zero, so it reads from end + 1.
-        for end in [*closing, len(chunk) - 1]:
-            if start <= end:
-                rise = np.abs(averages[start : end + 1] - base)
-                np.maximum(peak, np.maximum.reduce(rise, axis=0), out=peak)
-            while k <= band_count and chunk[end] == bands[k]:
-                yield peak
-                base, peak, k = averages[end], np.zeros(phi.period), k + 1
-            start = end + 1
+        if np.iscomplexobj(block):
+            averages = np.divide(block.view(np.float64), n_values).view(np.complex128)
+        else:
+            averages = block / n_values
+        if last is not None:
+            yield np.abs(averages[0] - last)
+        yield from np.abs(np.diff(averages, axis=0))
+        last = averages[-1]
 
 
 def band_maximal(
@@ -173,7 +164,7 @@ def band_maximal(
     ladder: LacunaryLadder,
     k: int,
 ) -> PeriodicSignal:
-    """j -> max over ladder members N in band k of |A_N(j) - A_{N_k}(j)|.
+    """j -> |A_{N_{k+1}}(j) - A_{N_k}(j)|, the oscillation over band k.
 
     Row k of band_peaks; values are nonnegative reals.
     """

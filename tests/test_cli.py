@@ -823,10 +823,25 @@ def test_large_finite_observables_average(tmp_path, recwarn):
 
 def test_oversized_ladder_exits_64(monkeypatch, capsys):
     monkeypatch.setattr(maximal, "MAX_LADDER_MEMBERS", 1000)
-    argv = ["maximal", "--mode", "band", "--j", "8", "--rho", "1.0000001", "--bands", "1"]
+    # 1000 bands need 1001 members
+    argv = ["maximal", "--mode", "band", "--j", "8", "--rho", "1.0000001", "--bands", "1000"]
     assert main(argv) == USAGE_EXIT
     err = capsys.readouterr().err
     assert "distinct members" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["band", "oscillation"])
+def test_dense_ladder_builds_only_its_bands(tmp_path, mode):
+    # rho 1.000001 has more than MAX_LADDER_MEMBERS members below 2^24;
+    # ten bands read the first eleven, 1..11.
+    out = tmp_path / f"{mode}.json"
+    argv = ["maximal", "--mode", mode, "--j", "16", "--rho", "1.000001", "--bands", "10"]
+    assert main(argv + ["--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    if mode == "band":
+        assert [band["endpoints"] for band in results["bands"]] == [[k, k + 1] for k in range(1, 11)]
+    else:
+        assert len(results["band_l2_norms"]) == 10
 
 
 def test_global_mode_with_n_max_builds_no_ladder(tmp_path):

@@ -369,15 +369,15 @@ def test_int32_path_matches_complex_path(period, table, p_poly, q_poly, kind, se
     lengths = [n for n in np.cumsum(steps).tolist() if n <= N_CAP] or [N_CAP]
     phi = PeriodicSignal(period, integer_signal(kind, period, seed))
     psi = PeriodicSignal(period, integer_signal(kind, period, seed + 1))
-    bands = tuple(lengths[::3]) if len(lengths) > 3 else (lengths[0], lengths[-1])
-    ladder = LacunaryLadder(rho=2.0, limit=N_CAP, members=tuple(lengths), bands=bands)
+    ladder = LacunaryLadder(rho=2.0, limit=N_CAP, members=tuple(lengths))
 
     def run():
         blocks = list(folding.orbit_sums(table, p_poly, q_poly, phi.values, psi.values, lengths))
         return (
             np.concatenate(blocks).astype(np.complex128),
             global_maximal(phi, psi, p_poly, q_poly, table, lengths[-1]).values,
-            list(band_peaks(phi, psi, p_poly, q_poly, table, ladder, ladder.band_count)),
+            list(band_peaks(phi, psi, p_poly, q_poly, table, ladder, ladder.band_count))
+            if ladder.band_count else [],
             direct_average_all(table, p_poly, q_poly, phi, psi, lengths[-1]).values,
             blocks[0].dtype,
         )

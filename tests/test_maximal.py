@@ -30,7 +30,7 @@ def brute_band_maximal(phi, psi, p_poly, q_poly, table, ladder, k):
     """Recompute every A_N from scratch, no incremental reuse."""
     j = phi.period
     lo, hi = ladder.band(k)
-    members = ladder.members_between(lo, hi)
+    members = [m for m in ladder.members if lo <= m <= hi]
     w = table.values
     out = np.zeros(j)
     for base in range(j):
@@ -73,15 +73,20 @@ def test_ladder_rejects_non_finite_rho(rho):
         LacunaryLadder.build(rho, 100)
 
 
-def test_band_maximal_single_member_band(mobius_100k):
+def test_band_endpoints_are_consecutive_members():
     ladder = LacunaryLadder.build(4.0, 256)
-    # Band [4, 16] of the rho=4 ladder contains members 4 and 16; squeeze a
-    # degenerate band by using a ladder whose band endpoints coincide.
-    degenerate = LacunaryLadder(rho=2.0, limit=64, members=(1, 2, 4), bands=(4, 4))
-    phi = PeriodicSignal.seeded_pm1(16, 1)
-    result = band_maximal(phi, phi, CLASSICAL_P, CLASSICAL_Q, mobius_100k, degenerate, 1)
-    assert np.max(np.abs(result.values)) == 0.0
     assert ladder.band(1) == (1, 4)
+    assert [ladder.band(k) for k in range(1, ladder.band_count + 1)] == list(
+        zip(ladder.members, ladder.members[1:])
+    )
+    assert ladder.bands == ladder.members
+
+
+def test_ladder_builds_only_the_members_its_bands_read():
+    # Up to 2^24 this ladder has more than MAX_LADDER_MEMBERS members; ten
+    # bands read the first eleven, which are 1..11.
+    assert LacunaryLadder.build(1.000001, 1 << 24, band_count=10).members == tuple(range(1, 12))
+    assert LacunaryLadder.build(2.0, 1 << 24, band_count=3).members == (1, 2, 4, 8)
 
 
 def test_band_maximal_zero_weights():
@@ -109,10 +114,8 @@ def test_band_maximal_general_polynomials_match_bruteforce(mobius_100k):
     j = 16
     phi = PeriodicSignal.seeded_pm1(j, 81)
     psi = PeriodicSignal.seeded_pm1(j, 82)
-    doubling = LacunaryLadder.build(2.0, 1 << 7)
-    # bands holding several members: the peak is taken against the first
-    wide = LacunaryLadder(rho=2.0, limit=128, members=doubling.members, bands=(1, 16, 128))
-    for ladder, band in ((doubling, 5), (doubling, 6), (doubling, 7), (wide, 1), (wide, 2)):
+    ladder = LacunaryLadder.build(2.0, 1 << 7)
+    for band in (5, 6, 7):
         ours = band_maximal(phi, psi, SQUARE, LINEAR, mobius_100k, ladder, band)
         brute = brute_band_maximal(phi, psi, SQUARE, LINEAR, mobius_100k, ladder, band)
         assert np.array_equal(ours.values.real, brute)
@@ -122,16 +125,51 @@ def test_band_peaks_match_each_band_and_the_brute_force(mobius_100k):
     j = 16
     phi = PeriodicSignal.seeded_pm1(j, 83)
     psi = PeriodicSignal.seeded_pm1(j, 84)
-    doubling = LacunaryLadder.build(2.0, 1 << 7)
-    # a degenerate band between two wide ones
-    ladder = LacunaryLadder(rho=2.0, limit=128, members=doubling.members, bands=(2, 16, 16, 128))
-    peaks = list(band_peaks(phi, psi, SQUARE, LINEAR, mobius_100k, ladder, 3))
-    assert len(peaks) == 3 and not np.any(peaks[1])
+    ladder = LacunaryLadder.build(2.0, 1 << 7)
+    peaks = list(band_peaks(phi, psi, SQUARE, LINEAR, mobius_100k, ladder, 7))
+    assert len(peaks) == 7
     for band, peak in enumerate(peaks, 1):
         single = band_maximal(phi, psi, SQUARE, LINEAR, mobius_100k, ladder, band)
         assert np.array_equal(single.values, peak)
         brute = brute_band_maximal(phi, psi, SQUARE, LINEAR, mobius_100k, ladder, band)
         assert np.array_equal(peak, brute)
+
+
+def test_band_peaks_divide_each_sum_once(mobius_100k):
+    # m_k = |S_{N_{k+1}} / N_{k+1} - S_{N_k} / N_k| with each S_N an exact
+    # int64 sum and each quotient rounded once in float64.  A complex
+    # division by N would round twice wherever 1/N is inexact.
+    j, bands = 16, 20
+    ladder = LacunaryLadder.build(1.3, 1 << 24, band_count=bands)
+    phi = PeriodicSignal.seeded_pm1(j, 91)
+    psi = PeriodicSignal.seeded_pm1(j, 92)
+    f, g = (s.values.real.astype(np.int64) for s in (phi, psi))
+    weights = mobius_100k.values.astype(np.int64)
+    members = ladder.members[: bands + 1]
+    base, running, averages = np.arange(j), np.zeros(j, dtype=np.int64), {}
+    for n in range(1, members[-1] + 1):
+        running += weights[n] * f[(base + n) % j] * g[(base - n) % j]
+        averages[n] = running / n
+    expected = [np.abs(averages[hi] - averages[lo]) for lo, hi in zip(members, members[1:])]
+    peaks = list(band_peaks(phi, psi, CLASSICAL_P, CLASSICAL_Q, mobius_100k, ladder, bands))
+    assert len(peaks) == bands
+    assert all(np.array_equal(peak, want) for peak, want in zip(peaks, expected))
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_band_peaks_across_block_edges(mobius_100k, monkeypatch, rows):
+    # Blocks of one and of three rows of running sums: bands straddle the
+    # block edges, and each band's bits stay those of one block.
+    j, bands = 16, 40
+    ladder = LacunaryLadder.build(1.1, 1 << 24, band_count=bands)
+    phi = PeriodicSignal.seeded_pm1(j, 93)
+    psi = PeriodicSignal.seeded_pm1(j, 94)
+    args = (phi, psi, SQUARE, LINEAR, mobius_100k, ladder, bands)
+    whole = list(band_peaks(*args))
+    monkeypatch.setattr(folding, "_BLOCK_ELEMENTS", rows * j)
+    split = list(band_peaks(*args))
+    assert len(split) == len(whole) == bands
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(split, whole))
 
 
 def test_oscillation_holds_no_band_by_period_array():
